@@ -61,4 +61,4 @@ __all__ = [
     "version_chain",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.1.0"

@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from .errors import ClassMismatchError, CycleDetectedError, UnknownEntityError, UnknownRecordError
+from .errors import (
+    ClassMismatchError,
+    CycleDetectedError,
+    TypeMismatchError,
+    UnknownEntityError,
+    UnknownRecordError,
+)
 from .model import EntityId, KnowsRecord, Ref
 
 
@@ -47,7 +53,13 @@ class Registry:
             self.add(record)
 
     def add(self, record: KnowsRecord) -> None:
-        self._records[record.record_id] = record
+        """Register ``record``; a missing record_id (None) is K001's finding."""
+        record_id = record.record_id
+        if record_id is not None and not isinstance(record_id, str):
+            raise TypeMismatchError(
+                f"record_id must be a string, not {type(record_id).__name__}"
+            )
+        self._records[record_id] = record
 
     def get(self, record_id: str) -> Optional[KnowsRecord]:
         return self._records.get(record_id)

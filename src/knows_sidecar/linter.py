@@ -301,6 +301,8 @@ def check_predicates(record: KnowsRecord) -> list[LintFinding]:
                     "citation_intent is only allowed with predicate 'cites'",
                 )
             )
+        if not isinstance(rel.predicate, str):
+            continue  # a non-string predicate is K001's finding
         allowed = PREDICATE_MATRIX.get(rel.predicate)
         if allowed is None:
             continue  # out-of-vocabulary predicate is K001's finding

@@ -10,7 +10,8 @@ are byte-identical.
 
 from __future__ import annotations
 
-import io
+import datetime
+import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -92,6 +93,12 @@ def document_tree(record: KnowsRecord) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Loading
 
+# libyaml's parser when PyYAML was built with it.  It accepts a tab after a
+# plain scalar, rejects surrogate escapes such as "\ud800", loads a bare ``!``
+# tag as '' rather than None, and skips U+FEFF at the start of a line;
+# otherwise it builds the pure loader's trees.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     """Decode one YAML document into a typed record plus an unknown-field log.
@@ -105,7 +112,7 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
         raw = bytes(data)
     text = raw.decode("utf-8-sig")
     try:
-        docs = list(yaml.safe_load_all(io.StringIO(text)))
+        docs = list(yaml.load_all(text, Loader=_LOADER))
     except yaml.YAMLError as exc:
         raise RecordSyntaxError(f"invalid YAML: {exc}") from exc
     docs = [d for d in docs if d is not None]
@@ -673,11 +680,64 @@ def record_to_tree(record: KnowsRecord) -> dict[str, Any]:
     return {k: v for k, v in tree.items() if v is not None}
 
 
+# libyaml's emitter writes the pure emitter's bytes only for trees in a
+# narrower domain.  Outside it libyaml escapes code points above U+FFFF,
+# raises on lone surrogates, escapes U+0085 differently, folds long
+# double-quoted lines at other columns, and picks the ``? key`` form for other
+# keys (it measures keys in bytes, the pure emitter in characters).  Deeply
+# nested trees stay on the pure path too, so one too deep for Python's
+# recursion limit fails there as it always did.  Trees outside the domain go
+# through the pure emitter, so every byte is the same.
+_C_DUMPER = getattr(yaml, "CSafeDumper", None)
+_C_UNSAFE_CHAR = re.compile("[\x85\ud800-\udfff\U00010000-\U0010ffff]").search
+_C_MAX_STR = 10_000  # even escaped (6 columns a character), far inside the width of 100000
+_C_MAX_KEY = 64
+_C_MAX_DEPTH = 64
+_C_SCALARS = frozenset({bool, int, float, type(None), datetime.date, datetime.datetime})
+
+
+def _in_c_domain(tree: Any) -> bool:
+    """True when libyaml emits ``tree`` exactly as the pure emitter does.
+
+    A list or mapping met twice (a YAML alias) also sends the tree to the
+    pure emitter, which keeps this walk linear on alias-heavy trees.
+    """
+    stack = [(tree, 0)]
+    seen: set[int] = set()
+    while stack:
+        node, depth = stack.pop()
+        kind = type(node)
+        if kind is str:
+            if len(node) > _C_MAX_STR or (not node.isascii() and _C_UNSAFE_CHAR(node)):
+                return False
+        elif kind is dict or kind is list:
+            if depth == _C_MAX_DEPTH or id(node) in seen:
+                return False
+            seen.add(id(node))
+            if kind is list:
+                stack.extend((value, depth + 1) for value in node)
+                continue
+            for key, value in node.items():
+                if not (
+                    type(key) is str
+                    and 0 < len(key) <= _C_MAX_KEY
+                    and key.isascii()
+                    and key.isprintable()
+                ):
+                    return False
+                stack.append((value, depth + 1))
+        elif kind not in _C_SCALARS:
+            return False
+    return True
+
+
 def emit_record(record: KnowsRecord) -> bytes:
     """Serialize a record canonically; two emissions are byte-identical."""
     tree = record_to_tree(record)
-    text = yaml.safe_dump(
+    dumper = _C_DUMPER if _C_DUMPER is not None and _in_c_domain(tree) else yaml.SafeDumper
+    text = yaml.dump(
         tree,
+        Dumper=dumper,
         sort_keys=False,
         allow_unicode=True,
         default_flow_style=False,

@@ -7,6 +7,7 @@ from helpers import FIXTURES, make_record
 from knows_sidecar.errors import (
     ClassMismatchError,
     CycleDetectedError,
+    TypeMismatchError,
     UnknownEntityError,
     UnknownRecordError,
 )
@@ -73,6 +74,18 @@ class TestResolve:
         registry = Registry([mismatched])
         with pytest.raises(ClassMismatchError):
             resolve("stmt:odd", mismatched.record_id, registry)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("record_id", [["x"], {"x": 1}, 42])
+    def test_non_string_record_id_is_type_mismatch(self, record_id):
+        record = replace(make_record(1), record_id=record_id)
+        with pytest.raises(TypeMismatchError):
+            Registry([record])
+
+    def test_missing_record_id_is_left_to_the_linter(self):
+        record = replace(make_record(1), record_id=None)
+        assert Registry([record]).get(None) is record
 
 
 class TestBuildGraph:

@@ -289,6 +289,17 @@ def test_citation_intent_requires_cites():
     assert findings_with(lint(record), LintCode.PREDICATE)
 
 
+@pytest.mark.parametrize("predicate", ["[cites]", "{p: cites}"])
+def test_unhashable_predicate_is_k001_not_a_crash(predicate):
+    record, _ = load_record(
+        "relations:\n"
+        f"  - {{id: 'rel:r', subject_ref: 'art:a', predicate: {predicate}, object_ref: 'art:b'}}\n"
+    )
+    report = lint(record)
+    assert any(f.path.startswith("relations/0") for f in findings_with(report, LintCode.SCHEMA))
+    assert not findings_with(report, LintCode.PREDICATE)
+
+
 def test_remote_endpoint_checked_by_declared_prefix():
     record, _ = load_record(
         "relations:\n"

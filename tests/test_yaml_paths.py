@@ -1,0 +1,327 @@
+"""The libyaml and pure-Python YAML paths agree.
+
+``serialization`` parses with libyaml whenever PyYAML was built with it, and
+emits with libyaml only for trees where libyaml's emitter writes the pure
+emitter's bytes.  These tests hold the emitted bytes to the pure emitter on
+any tree, hold the two loaders to the same trees, and pin the few documents
+on which the loaders are known to differ.
+"""
+
+import dataclasses
+import datetime
+
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from helpers import FIXTURES
+from knows_sidecar import cli, serialization
+from knows_sidecar.errors import RecordSyntaxError
+from knows_sidecar.model import Author, parse_profile
+from knows_sidecar.scaffold import ScaffoldInput, scaffold_record
+from knows_sidecar.serialization import emit_record, load_record, record_to_tree
+
+# The options emit_record has always passed to the pure emitter.
+EMIT_OPTIONS = dict(sort_keys=False, allow_unicode=True, default_flow_style=False, width=100000)
+
+needs_libyaml = pytest.mark.skipif(
+    not getattr(yaml, "__with_libyaml__", False), reason="PyYAML built without libyaml"
+)
+
+BASE, _ = load_record((FIXTURES / "moore.knows.yaml").read_bytes())
+
+
+def pure_emit(record) -> bytes:
+    return yaml.dump(record_to_tree(record), Dumper=yaml.SafeDumper, **EMIT_OPTIONS).encode("utf-8")
+
+
+def pure_dump(tree) -> str:
+    """A comparable rendering of a loaded tree (NaN-safe, alias-safe)."""
+    return yaml.dump(tree, Dumper=yaml.SafeDumper, allow_unicode=False, sort_keys=False)
+
+
+# ---------------------------------------------------------------------------
+# Generated trees, in and out of libyaml's emitter domain
+
+# Characters libyaml's emitter writes like the pure one, then those it does not.
+PLAIN_CHARS = (
+    "\x00\x01\x07\t\n\x0b\x0c\r\x1b\x1f\x7f\x80\x9f\xa0\xad\u2028\u2029\ufeff\ufffd"
+    "\ufffe\uffff\ud7ff\ue000:#-?&*!|>'\"%@`,[]{}\\ \u00e9\u4e2d"
+)
+DIVERGING_CHARS = "\x85\ud800\udcff\U0001d465\U0001f600\U00020000\U0010ffff"
+YAML_WORDS = [
+    "yes", "No", "on", "OFF", "true", "False", "~", "null", "1e3", "0x1F", "0o17",
+    "012", "1_000", ".inf", "-.nan", "2024-01-01", "2024-01-01T00:00:00Z",
+    "2001-12-14 21:59:43.10 -5", "12:30:45", "<<", "=", "-", "--- x", "...",
+    "- a", "a: b", "a #b", "&x", "*x", "!x", "|", "> x", "%x", "@x", "", " ",
+]
+
+bmp_chars = st.one_of(
+    st.sampled_from(PLAIN_CHARS),
+    st.characters(max_codepoint=0xFFFF, exclude_categories=["Cs"], exclude_characters="\x85"),
+    st.sampled_from("abc xyz019._/"),
+)
+any_chars = st.one_of(bmp_chars, st.sampled_from(DIVERGING_CHARS), st.characters(codec=None))
+
+
+def _text(chars, max_len):
+    # Long strings are repeated words, so they carry breaks and escapes.
+    long = st.builds(
+        lambda word, n, sep: sep.join([word] * n)[:max_len],
+        st.text(chars, min_size=1, max_size=12),
+        st.integers(1, 2500),
+        st.sampled_from([" ", "", "\n", "\x01 "]),
+    )
+    words = st.sampled_from(YAML_WORDS)
+    short = st.text(chars, max_size=30)
+    return st.one_of(short, short, words, st.builds(str.__add__, words, short), long)
+
+
+def _trees(text, key):
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        text,
+        st.dates(),
+        st.datetimes(),
+        st.datetimes(timezones=st.just(datetime.timezone.utc)),
+    )
+    inner = st.recursive(
+        scalars,
+        lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(key, kids, max_size=4)),
+        max_leaves=25,
+    )
+    return text, scalars, st.dictionaries(key, inner, max_size=4)
+
+
+ascii_keys = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64)
+# Inside libyaml's domain: BMP text up to 10,000 characters without U+0085,
+# keys of 1-64 printable ASCII characters.
+IN_DOMAIN = _trees(_text(bmp_chars, 10_000), ascii_keys)
+# One step outside it: a key or a string that libyaml emits differently.
+BOUNDARY_KEYS = ["", "\r", "a\rb", "\x85", "\U0001d465", "k" * 127, "k" * 128, "\u00e9" * 65]
+DIVERGING_KEYS = st.one_of(
+    st.sampled_from(BOUNDARY_KEYS),
+    st.sampled_from(BOUNDARY_KEYS),
+    st.integers(65, 135).map(lambda n: "k" * n),
+    st.integers(30, 70).map(lambda n: "\u00e9" * n),
+    st.builds(str.__add__, ascii_keys, st.sampled_from("\x00\t\n\r\x7f")),
+    st.one_of(st.integers(), st.none(), st.booleans()),
+)
+DIVERGING_TEXT = st.builds(
+    lambda head, ch, tail: head + ch + tail,
+    st.text(bmp_chars, max_size=20),
+    st.sampled_from(DIVERGING_CHARS),
+    st.text(bmp_chars, max_size=20),
+)
+ANYWHERE = _trees(_text(any_chars, 30_000), st.one_of(ascii_keys, DIVERGING_KEYS, _text(any_chars, 30)))
+
+
+@st.composite
+def records(draw):
+    """A fixture record carrying generated content where the schema allows any."""
+    kind = draw(
+        st.sampled_from(["in_domain", "diverging_key", "diverging_key", "diverging_text", "anywhere"])
+    )
+    text, scalars, extensions = ANYWHERE if kind == "anywhere" else IN_DOMAIN
+    tree = draw(extensions)
+    if kind == "diverging_key":
+        tree[draw(DIVERGING_KEYS)] = draw(scalars)
+    elif kind == "diverging_text":
+        tree["x_text"] = draw(DIVERGING_TEXT)
+    statement = dataclasses.replace(BASE.statements[0], text=draw(text))
+    return dataclasses.replace(
+        BASE,
+        title=draw(scalars),
+        statements=(statement,) + BASE.statements[1:],
+        extensions=tree,
+    )
+
+
+@settings(deadline=None)
+@given(records())
+def test_emission_matches_pure_emitter(record):
+    assert emit_record(record) == pure_emit(record)
+
+
+def _nested(depth):
+    tree = "leaf"
+    for _ in range(depth):
+        tree = {"k": tree}
+    return tree
+
+
+# Each tree here makes libyaml's emitter write other bytes than the pure one,
+# or (an alias) is kept from it to bound the domain walk.
+OUT_OF_DOMAIN = {
+    "non_bmp": "x \U0001d465",
+    "emoji": "\U0001f600",
+    "lone_surrogate": "T \udcff",
+    "nel": "first\x85second",
+    "empty_key": {"": 1},
+    "cr_key": {"a\rb": 1},
+    "key_127": {"k" * 127: 1},
+    "key_128": {"k" * 128: 1},
+    "long_non_ascii_key": {"\u00e9" * 65: 1},
+    "long_double_quoted": "wo\x01rd " * 30000,
+    "int_key": {1: "a"},
+    "deep": _nested(80),
+    "bytes": b"\x00\x01",
+    "set": {"a", "b"},
+}
+SHARED = ["x"]
+OUT_OF_DOMAIN["alias"] = {"a": SHARED, "b": SHARED}
+
+
+@pytest.mark.parametrize("value", OUT_OF_DOMAIN.values(), ids=list(OUT_OF_DOMAIN))
+def test_out_of_domain_trees_take_the_pure_path(value):
+    record = dataclasses.replace(BASE, extensions={"x_probe": value})
+    assert not serialization._in_c_domain(record_to_tree(record))
+    assert emit_record(record) == pure_emit(record)
+
+
+def test_fixtures_emit_through_libyaml():
+    for path in sorted(FIXTURES.glob("*.knows.yaml")):
+        record, _ = load_record(path.read_bytes())
+        assert serialization._in_c_domain(record_to_tree(record)), path.name
+
+
+@needs_libyaml
+def test_libyaml_classes_are_used():
+    assert serialization._LOADER is yaml.CSafeLoader
+    assert serialization._C_DUMPER is yaml.CSafeDumper
+
+
+def test_gen_with_surrogate_escaped_title(tmp_path):
+    # A non-UTF-8 argv byte reaches Python as a lone surrogate.
+    out = tmp_path / "o.knows.yaml"
+    assert cli.main(["gen", "--title", "T \udcff", "--author", "A", "--out", str(out)]) == 0
+    expected = scaffold_record(
+        ScaffoldInput(
+            title="T \udcff",
+            authors=(Author(name="A"),),
+            profile=parse_profile("paper@1"),
+        )
+    )
+    written = out.read_bytes()
+    assert written == pure_emit(expected)
+    assert b'\ntitle: "T \\uDCFF"\n' in written
+
+
+# ---------------------------------------------------------------------------
+# Loading: both loaders build the same trees
+
+# No bare "!" tag and no U+FEFF: both are pinned differences, tested below.
+DOC_CHARS = ":-[]{}#&*|>'\"%@,?\n\n\t  abc01.\\~\x85\u2028\u00e9\U0001d465"
+doc_styles = st.fixed_dictionaries(
+    {
+        "default_flow_style": st.sampled_from([False, True, None]),
+        "canonical": st.booleans(),
+        "allow_unicode": st.booleans(),
+        "width": st.sampled_from([20, 80, 100000]),
+        "explicit_start": st.booleans(),
+        "default_style": st.sampled_from([None, '"', "'", "|", ">"]),
+    }
+)
+
+
+# Long strings make parsing slower, not different.
+DOC_TREES = _trees(_text(any_chars, 500), st.one_of(ascii_keys, DIVERGING_KEYS))[2]
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(["text", "dumped", "mutated"]))
+    if kind == "text":
+        return draw(st.text(st.sampled_from(DOC_CHARS), max_size=60))
+    tree = draw(DOC_TREES)
+    doc = yaml.dump(tree, Dumper=yaml.SafeDumper, **draw(doc_styles))
+    if kind == "mutated":
+        at = draw(st.integers(0, len(doc)))
+        doc = doc[:at] + draw(st.text(st.sampled_from(DOC_CHARS), max_size=4)) + doc[at:]
+    return doc
+
+
+def _outcome(doc, loader):
+    try:
+        return "tree", pure_dump(list(yaml.load_all(doc, Loader=loader)))
+    except yaml.YAMLError:
+        return "rejected", None
+    except Exception as exc:  # a constructor fault; both loaders share it
+        return "raised", type(exc)
+
+
+@needs_libyaml
+@settings(deadline=None)
+@given(documents())
+def test_loaders_build_equal_trees(doc):
+    pure = _outcome(doc, yaml.SafeLoader)
+    fast = _outcome(doc, yaml.CSafeLoader)
+    if "rejected" not in (pure[0], fast[0]):
+        assert fast == pure
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def loader(request, monkeypatch):
+    if request.param == "libyaml":
+        if not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(serialization, "_LOADER", yaml.CSafeLoader)
+    else:
+        monkeypatch.setattr(serialization, "_LOADER", yaml.SafeLoader)
+    return request.param
+
+
+MALFORMED = [
+    "a: [unclosed\n",
+    "a: {b: 1\n",
+    "a: 'unterminated\n",
+    'a: "unterminated\n',
+    'a: "\\q"\n',
+    "a: 1\n b: 2\n",
+    "a:\n\t- 1\n",
+    "a: *undefined\n",
+    "- a\nb: c\n",
+    "a: b: c\n",
+    "? a\n? b\n- c\n",
+    "a: \x00\n",
+    "a: \x1b\n",
+    "%YAML 2.0\n---\na: 1\n",
+    "? [a]\n: 1\n",
+    "a: 1\n---\nb: 2\n",
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
+def test_malformed_yaml_is_record_syntax_error(loader, doc):
+    with pytest.raises(RecordSyntaxError):
+        load_record(doc)
+
+
+# Documents on which libyaml's loader differs from the pure one.
+@needs_libyaml
+@pytest.mark.parametrize(
+    "doc,pure,fast",
+    [
+        # YAML allows a tab after a plain scalar; the pure scanner does not.
+        ('a: b"\t\n', RecordSyntaxError, {"a": 'b"'}),
+        # A surrogate escape is not a Unicode scalar value.
+        ('a: "\\ud800"\n', {"a": "\ud800"}, RecordSyntaxError),
+        # A bare "!" tag resolves to the empty string.
+        ("a: !\n", {"a": None}, {"a": ""}),
+        # libyaml skips U+FEFF at the start of a line as a byte order mark.
+        ("a: 1\n\ufeffb: 2\n", {"a": 1, "\ufeffb": 2}, RecordSyntaxError),
+    ],
+    ids=["tab_after_plain", "surrogate_escape", "bare_tag", "bom_at_line_start"],
+)
+def test_pinned_loader_differences(monkeypatch, doc, pure, fast):
+    for loader, expected in ((yaml.SafeLoader, pure), (yaml.CSafeLoader, fast)):
+        monkeypatch.setattr(serialization, "_LOADER", loader)
+        if expected is RecordSyntaxError:
+            with pytest.raises(RecordSyntaxError):
+                load_record(doc)
+        else:
+            record, _ = load_record(doc)
+            assert serialization.source_of(record).tree == expected

@@ -12,7 +12,7 @@ from .errors import (
     UnknownEntityError,
     UnknownRecordError,
 )
-from .model import EntityId, KnowsRecord, Ref
+from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, parse_ref
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
     Local references resolve within ``home``; remote references first resolve
     their record_id in the registry.
     """
-    from .model import parse_ref  # local import avoids cycle at module load
-
     if isinstance(ref, str):
         ref = parse_ref(ref)
     if isinstance(ref, EntityId):
@@ -93,11 +91,10 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
     entity = record.entity_index().get(str(ref.entity))
     if entity is None:
         raise UnknownEntityError(f"{ref.entity} not found in record {record_id!r}")
-    from .linter import _class_of
-
-    if _class_of(entity) != ref.entity.entity_class:
+    entity_class = ENTITY_CLASS[type(entity)]
+    if entity_class != ref.entity.entity_class:
         raise ClassMismatchError(
-            f"{ref.entity} names a {_class_of(entity)}, not a {ref.entity.entity_class}"
+            f"{ref.entity} names a {entity_class}, not a {ref.entity.entity_class}"
         )
     return QualifiedId(record_id, ref.entity), entity
 
@@ -106,7 +103,9 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     """All entities as nodes; all relations as qualified, typed edges.
 
     Unresolved remote endpoints become dangling placeholder nodes so partial
-    registries remain traversable.
+    registries remain traversable.  A relation with an unparseable id or
+    endpoint, or a predicate that is not a string, is left out; lint reports
+    it (K001, K002).
     """
     nodes: list[QualifiedId] = []
     node_keys: set[str] = set()
@@ -138,7 +137,11 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
                     add_node(q)
                     dangling.append(q)
                 endpoints.append(q)
-            if endpoints is None or not isinstance(rel.id, EntityId):
+            if (
+                endpoints is None
+                or not isinstance(rel.id, EntityId)
+                or not isinstance(rel.predicate, str)
+            ):
                 continue
             edges.append(
                 Edge(

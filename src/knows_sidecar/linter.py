@@ -15,18 +15,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from . import schema
-from .model import (
-    Action,
-    Artifact,
-    EntityId,
-    Evidence,
-    KnowsRecord,
-    Predicate,
-    Ref,
-    Relation,
-    Representation,
-    Statement,
-)
+from .model import CLASS_PREFIX, ENTITY_CLASS, PREFIX_CLASS, EntityId, KnowsRecord, Ref
 from .serialization import document_tree
 
 UrlProbe = Callable[[str], int]
@@ -66,22 +55,6 @@ def _err(code: LintCode, path: str, message: str) -> LintFinding:
 
 def _warn(code: LintCode, path: str, message: str) -> LintFinding:
     return LintFinding(code=code, severity="warning", path=path, message=message)
-
-
-def _class_of(entity: Any) -> str:
-    if isinstance(entity, Artifact):
-        return "artifact"
-    if isinstance(entity, Representation):
-        return "representation"
-    if isinstance(entity, Statement):
-        return "statement"
-    if isinstance(entity, Evidence):
-        return "evidence"
-    if isinstance(entity, Relation):
-        return "relation"
-    if isinstance(entity, Action):
-        return "action"
-    raise TypeError(f"not an entity: {entity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +98,13 @@ def _check_local_ref(
     target = index.get(str(entity_id))
     if target is None:
         return [_err(LintCode.CROSSREF, path, f"dangling reference {entity_id}")]
-    if _class_of(target) != entity_id.entity_class:
+    target_class = ENTITY_CLASS[type(target)]
+    if target_class != entity_id.entity_class:
         return [
             _err(
                 LintCode.CROSSREF,
                 path,
-                f"reference {entity_id} resolves to a {_class_of(target)}",
+                f"reference {entity_id} resolves to a {target_class}",
             )
         ]
     return []
@@ -214,16 +188,6 @@ def check_id_uniqueness(record: KnowsRecord) -> list[LintFinding]:
 # Check 4: ID prefix conventions
 
 
-_CLASS_PREFIX = {
-    "artifact": "art",
-    "statement": "stmt",
-    "evidence": "ev",
-    "relation": "rel",
-    "action": "act",
-    "representation": "rep",
-}
-
-
 def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     collections = [
@@ -245,7 +209,7 @@ def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
 
 
 def _check_prefix(entity_id: Any, path: str, cls: str, findings: list[LintFinding]) -> None:
-    expected = _CLASS_PREFIX[cls]
+    expected = CLASS_PREFIX[cls]
     if not isinstance(entity_id, EntityId):
         findings.append(
             _err(LintCode.ID_PREFIX, path, f"unparseable entity id {entity_id!r}")
@@ -275,7 +239,7 @@ PREDICATE_MATRIX: dict[str, frozenset[tuple[str, str]]] = {
     "implements": frozenset({(_A, _A), (_S, _A)}),
     "documents": frozenset({(_S, _A), (_A, _A)}),
     "cites": frozenset({(_A, _A)}),
-    "same_as": frozenset((p, p) for p in _CLASS_PREFIX.values()),
+    "same_as": frozenset((p, p) for p in PREFIX_CLASS),
     "supersedes": frozenset({(_S, _S), (_A, _A)}),
     "retracts": frozenset({(_S, _S), (_A, _A)}),
 }
@@ -293,7 +257,7 @@ def check_predicates(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     for i, rel in enumerate(record.relations):
         path = f"relations/{i}"
-        if rel.citation_intent is not None and rel.predicate != Predicate.CITES.value:
+        if rel.citation_intent is not None and rel.predicate != "cites":
             findings.append(
                 _err(
                     LintCode.PREDICATE,
@@ -428,7 +392,8 @@ def lint(
             check_url_liveness(record, fetcher, as_errors=liveness_errors)
         )
         checks_run = 7
-    findings.sort(key=lambda f: (f.path, f.code.value))
+    # str(): a non-string root key is its own K001 path.
+    findings.sort(key=lambda f: (str(f.path), f.code.value))
     return LintReport(findings=tuple(findings), checks_run=checks_run)
 
 

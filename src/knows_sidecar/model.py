@@ -1,26 +1,41 @@
-"""Typed domain model for KnowsRecord v0.9.
+"""Typed domain model for KnowsRecord v0.9, and the one table of its shape.
 
-Every entity and metadata block of the sidecar format is represented by an
-immutable dataclass.  Enumerated fields are stored as plain strings so that a
-record loaded from disk can carry out-of-vocabulary values for the linter to
-report; the closed vocabularies themselves live in the ``*_VALUES`` frozensets
-below and in the corresponding ``enum.Enum`` classes.
+Every entity and metadata block of the sidecar format is an immutable
+dataclass, and the dataclasses are the only place the record shape is
+written down.  Field order, YAML key and required-ness come from
+``dataclasses.fields``: a field without a default is required.  Nesting comes
+from the type hints: a dataclass is a nested object, ``tuple[X, ...]`` a list
+of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
+
+* ``enum``: the closed vocabulary, a frozenset;
+* ``minLength``, ``pattern``, ``format``, ``minItems``, ``minProperties``:
+  JSON Schema keywords on the field's value;
+* ``exactly_one_of``: two keys of which each item must hold exactly one;
+* ``key``: the YAML key, where it is not the attribute name;
+* ``missing``: the value loaded when the key is absent;
+* ``load`` / ``emit``: a converter applied to a non-None value at load or at
+  emission, in place of the one the type hint selects; ``raw``: keep the
+  loaded value as it is.
+
+:mod:`knows_sidecar.serialization` compiles its loaders and emitters from
+this table and :mod:`knows_sidecar.schema` builds ``RECORD_SCHEMA`` from it.
+Enumerated fields are stored as plain strings so that a record loaded from
+disk can carry out-of-vocabulary values for the linter to report.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
-from enum import Enum
-from typing import Any, Optional
+from functools import cache
+from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import MalformedError, UnknownPrefixError
 
 SCHEMA_URI = "https://knows.dev/schema/record-0.9.json"
 
 # ID prefixes and the entity class each one names.
-ID_PREFIXES = ("art", "stmt", "ev", "rel", "act", "rep")
 PREFIX_CLASS = {
     "art": "artifact",
     "stmt": "statement",
@@ -29,183 +44,21 @@ PREFIX_CLASS = {
     "act": "action",
     "rep": "representation",
 }
+CLASS_PREFIX = {cls: prefix for prefix, cls in PREFIX_CLASS.items()}
+
+_SEMVER_PATTERN = r"^\d+\.\d+\.\d+$"
+_PROFILE_PATTERN = r"^.+@[1-9]\d*$"
+_CONFIDENCE_LEVELS = frozenset({"low", "medium", "high"})
 
 
-class ArtifactType(str, Enum):
-    PAPER = "paper"
-    REPOSITORY = "repository"
-    DATASET = "dataset"
-    MODEL = "model"
-    BENCHMARK = "benchmark"
-    SOFTWARE = "software"
-    WEBSITE = "website"
-    OTHER = "other"
+def _meta(default: Any = MISSING, **metadata: Any) -> Any:
+    """A dataclass field carrying shape metadata (see the module docstring)."""
+    return field(default=default, metadata=metadata)
 
 
-class ArtifactRole(str, Enum):
-    SUBJECT = "subject"
-    SUPPORTING = "supporting"
-    CITED = "cited"
-
-
-class StatementType(str, Enum):
-    CLAIM = "claim"
-    ASSUMPTION = "assumption"
-    LIMITATION = "limitation"
-    METHOD = "method"
-    QUESTION = "question"
-    DEFINITION = "definition"
-
-
-class StatementStatus(str, Enum):
-    ASSERTED = "asserted"
-    RETRACTED = "retracted"
-    SUPERSEDED = "superseded"
-    UNDER_REVIEW = "under_review"
-
-
-class Modality(str, Enum):
-    EMPIRICAL = "empirical"
-    THEORETICAL = "theoretical"
-    DESCRIPTIVE = "descriptive"
-    NORMATIVE = "normative"
-
-
-class EvidenceType(str, Enum):
-    TABLE_RESULT = "table_result"
-    FIGURE = "figure"
-    EXPERIMENT_RUN = "experiment_run"
-    CITATION_BACKED = "citation_backed"
-    ARTIFACT_RUN = "artifact_run"
-    PROOF = "proof"
-    CASE_STUDY = "case_study"
-    CLINICAL_TRIAL = "clinical_trial"
-    SURVEY_RESULT = "survey_result"
-    QUALITATIVE_ANALYSIS = "qualitative_analysis"
-    STATISTICAL_TEST = "statistical_test"
-    OBSERVATION = "observation"
-    SIMULATION = "simulation"
-    OTHER = "other"
-
-
-class Predicate(str, Enum):
-    SUPPORTED_BY = "supported_by"
-    CHALLENGED_BY = "challenged_by"
-    DEPENDS_ON = "depends_on"
-    LIMITED_BY = "limited_by"
-    USES = "uses"
-    EVALUATES_ON = "evaluates_on"
-    IMPLEMENTS = "implements"
-    DOCUMENTS = "documents"
-    CITES = "cites"
-    SAME_AS = "same_as"
-    SUPERSEDES = "supersedes"
-    RETRACTS = "retracts"
-
-
-class CitationIntent(str, Enum):
-    SUPPORTS = "supports"
-    EXTENDS = "extends"
-    USES_METHOD = "uses_method"
-    COMPARES_TO = "compares_to"
-    CONTRADICTS = "contradicts"
-    REVIEWS = "reviews"
-    CITES_DATA = "cites_data"
-    BACKGROUND = "background"
-    OTHER = "other"
-
-
-class ActionType(str, Enum):
-    DOWNLOAD = "download"
-    RUN = "run"
-    QUERY = "query"
-    DEPLOY = "deploy"
-    OTHER = "other"
-
-
-class SideEffects(str, Enum):
-    NONE = "none"
-    TEMPORARY_FILES_ONLY = "temporary_files_only"
-    PERSISTENT = "persistent"
-    EXTERNAL = "external"
-
-
-class InterfaceKind(str, Enum):
-    HTTP = "http"
-    CLI = "cli"
-    OTHER = "other"
-
-
-class Origin(str, Enum):
-    AUTHOR = "author"
-    THIRD_PARTY = "third_party"
-    MACHINE = "machine"
-    OTHER = "other"
-
-
-class ActorType(str, Enum):
-    PERSON = "person"
-    ORGANIZATION = "organization"
-    AGENT = "agent"
-
-
-class ConfidenceLevel(str, Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
-class UpdatePolicy(str, Enum):
-    VERSIONED = "versioned"
-    LIVING = "living"
-    FROZEN = "frozen"
-
-
-class LocatorType(str, Enum):
-    PATH = "path"
-    URL = "url"
-
-
-class AnchorLocatorType(str, Enum):
-    SECTION = "section"
-    TABLE = "table"
-    FIGURE = "figure"
-    PAGE = "page"
-    EQUATION = "equation"
-    OTHER = "other"
-
-
-class CoverageStatements(str, Enum):
-    NONE = "none"
-    PARTIAL = "partial"
-    MAIN_CLAIMS_ONLY = "main_claims_only"
-    FULL = "full"
-
-
-class CoverageEvidence(str, Enum):
-    NONE = "none"
-    PARTIAL = "partial"
-    KEY_EVIDENCE_ONLY = "key_evidence_only"
-    FULL = "full"
-
-
-class RecordStatus(str, Enum):
-    ACTIVE = "active"
-    SUPERSEDED = "superseded"
-    RETRACTED = "retracted"
-
-
-class MetadataStandard(str, Enum):
-    DATACITE = "datacite"
-    CODEMETA = "codemeta"
-    CITATION_CFF = "citation_cff"
-    CROISSANT = "croissant"
-    MODEL_CARD = "model_card"
-    RO_CRATE = "ro_crate"
-
-
-def enum_values(cls: type[Enum]) -> frozenset[str]:
-    return frozenset(m.value for m in cls)
+def _vocab(*values: str, default: Any = MISSING) -> Any:
+    """A string field whose value must come from ``values``."""
+    return field(default=default, metadata={"enum": frozenset(values)})
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +112,7 @@ def parse_entity_id(text: str) -> EntityId:
     prefix, _, local = text.partition(":")
     if not local or _LOCAL_FORBIDDEN.search(local):
         raise MalformedError(f"bad local part in entity id: {text!r}")
-    if prefix not in ID_PREFIXES:
+    if prefix not in PREFIX_CLASS:
         raise UnknownPrefixError(f"unknown id prefix {prefix!r} in {text!r}")
     return EntityId(prefix, local)
 
@@ -324,16 +177,25 @@ def parse_profile(text: str) -> Profile:
     return Profile(name, int(major_text))
 
 
+# Value types written in YAML as strings, each with its parser.
+STRING_PARSERS = {
+    EntityId: parse_entity_id,
+    Ref: parse_ref,
+    SpecVersion: parse_spec_version,
+    Profile: parse_profile,
+}
+
+
 # ---------------------------------------------------------------------------
 # Entity building blocks
 
 
 @dataclass(frozen=True)
 class Identifiers:
-    doi: Optional[str] = None
-    arxiv: Optional[str] = None
-    isbn: Optional[str] = None
-    url: Optional[str] = None
+    doi: Optional[str] = _meta(None, minLength=1)
+    arxiv: Optional[str] = _meta(None, minLength=1)
+    isbn: Optional[str] = _meta(None, minLength=1)
+    url: Optional[str] = _meta(None, minLength=1)
 
     def any_present(self) -> bool:
         return any(v is not None for v in (self.doi, self.arxiv, self.isbn, self.url))
@@ -341,49 +203,49 @@ class Identifiers:
 
 @dataclass(frozen=True)
 class Locator:
-    type: str
-    value: str
+    type: str = _vocab("path", "url")
+    value: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
 class Representation:
-    id: EntityId
-    media_type: str
+    id: EntityId = _meta(minLength=1)
+    media_type: str = _meta(minLength=1)
     locator: Locator
 
 
 @dataclass(frozen=True)
 class SourceAnchor:
-    representation_ref: EntityId
-    locator_type: str
-    locator: str
+    representation_ref: EntityId = _meta(minLength=1)
+    locator_type: str = _vocab("section", "table", "figure", "page", "equation", "other")
+    locator: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
 class Confidence:
-    claim_strength: str
-    extraction_fidelity: str
+    claim_strength: str = _meta(enum=_CONFIDENCE_LEVELS)
+    extraction_fidelity: str = _meta(enum=_CONFIDENCE_LEVELS)
 
 
 @dataclass(frozen=True)
 class Observation:
-    metric: str
-    value: Optional[float] = None
+    metric: str = _meta(minLength=1)
+    value: Optional[float] = _meta(None, raw=True)
     unit: Optional[str] = None
-    qualitative_value: Optional[str] = None
+    qualitative_value: Optional[str] = _meta(None, minLength=1)
 
 
 @dataclass(frozen=True)
 class Actor:
-    name: str
-    type: str
+    name: str = _meta(minLength=1)
+    type: str = _vocab("person", "organization", "agent")
 
 
 @dataclass(frozen=True)
 class Provenance:
-    origin: str
+    origin: str = _vocab("author", "third_party", "machine", "other")
     actor: Actor
-    generated_at: str
+    generated_at: str = _meta(format="date-time")
     method: Optional[str] = None
     verification: Optional[str] = None
     x_extensions: Optional[dict[str, Any]] = None
@@ -394,34 +256,40 @@ class SafetyPolicy:
     sandbox_required: bool
     network: bool
     secrets_required: bool
-    side_effects: str
+    side_effects: str = _vocab("none", "temporary_files_only", "persistent", "external")
 
 
 @dataclass(frozen=True)
 class ActionInterface:
-    kind: str
-    locator: str
+    kind: str = _vocab("http", "cli", "other")
+    locator: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
 class Artifact:
-    id: EntityId
-    artifact_type: str
-    role: str
-    title: str
-    identifiers: Optional[Identifiers] = None
+    id: EntityId = _meta(minLength=1)
+    artifact_type: str = _vocab(
+        "paper", "repository", "dataset", "model", "benchmark", "software", "website", "other"
+    )
+    role: str = _vocab("subject", "supporting", "cited")
+    title: str = _meta(minLength=1)
+    identifiers: Optional[Identifiers] = _meta(None, minProperties=1)
     representations: tuple[Representation, ...] = ()
     x_extensions: Optional[dict[str, Any]] = None
 
 
 @dataclass(frozen=True)
 class Statement:
-    id: EntityId
-    statement_type: str
-    text: str
-    about_ref: Ref
-    status: str
-    modality: Optional[str] = None
+    id: EntityId = _meta(minLength=1)
+    statement_type: str = _vocab(
+        "claim", "assumption", "limitation", "method", "question", "definition"
+    )
+    text: str = _meta(minLength=1)
+    about_ref: Ref = _meta(minLength=1)
+    status: str = _vocab("asserted", "retracted", "superseded", "under_review")
+    modality: Optional[str] = _vocab(
+        "empirical", "theoretical", "descriptive", "normative", default=None
+    )
     source_anchors: tuple[SourceAnchor, ...] = ()
     confidence: Optional[Confidence] = None
     provenance: Optional[Provenance] = None
@@ -430,34 +298,84 @@ class Statement:
 
 @dataclass(frozen=True)
 class Evidence:
-    id: EntityId
-    evidence_type: str
-    summary: str
+    id: EntityId = _meta(minLength=1)
+    evidence_type: str = _vocab(
+        "table_result",
+        "figure",
+        "experiment_run",
+        "citation_backed",
+        "artifact_run",
+        "proof",
+        "case_study",
+        "clinical_trial",
+        "survey_result",
+        "qualitative_analysis",
+        "statistical_test",
+        "observation",
+        "simulation",
+        "other",
+    )
+    summary: str = _meta(minLength=1)
     source_anchors: tuple[SourceAnchor, ...] = ()
-    observations: tuple[Observation, ...] = ()
+    observations: tuple[Observation, ...] = _meta((), exactly_one_of=("value", "qualitative_value"))
     provenance: Optional[Provenance] = None
     x_extensions: Optional[dict[str, Any]] = None
 
 
 @dataclass(frozen=True)
 class Relation:
-    id: EntityId
-    subject_ref: Ref
-    predicate: str
-    object_ref: Ref
-    citation_intent: Optional[str] = None
+    id: EntityId = _meta(minLength=1)
+    subject_ref: Ref = _meta(minLength=1)
+    predicate: str = _vocab(
+        "supported_by",
+        "challenged_by",
+        "depends_on",
+        "limited_by",
+        "uses",
+        "evaluates_on",
+        "implements",
+        "documents",
+        "cites",
+        "same_as",
+        "supersedes",
+        "retracts",
+    )
+    object_ref: Ref = _meta(minLength=1)
+    citation_intent: Optional[str] = _vocab(
+        "supports",
+        "extends",
+        "uses_method",
+        "compares_to",
+        "contradicts",
+        "reviews",
+        "cites_data",
+        "background",
+        "other",
+        default=None,
+    )
     x_extensions: Optional[dict[str, Any]] = None
 
 
 @dataclass(frozen=True)
 class Action:
-    id: EntityId
-    action_type: str
-    label: str
-    target_ref: Ref
+    id: EntityId = _meta(minLength=1)
+    action_type: str = _vocab("download", "run", "query", "deploy", "other")
+    label: str = _meta(minLength=1)
+    target_ref: Ref = _meta(minLength=1)
     interface: ActionInterface
     safety: SafetyPolicy
     x_extensions: Optional[dict[str, Any]] = None
+
+
+# Entity dataclass -> the entity class its ID prefix names.
+ENTITY_CLASS = {
+    Artifact: "artifact",
+    Representation: "representation",
+    Statement: "statement",
+    Evidence: "evidence",
+    Relation: "relation",
+    Action: "action",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +384,27 @@ class Action:
 
 @dataclass(frozen=True)
 class VersionTriple:
-    spec: SpecVersion
-    record: str
-    source: str
+    spec: SpecVersion = _meta(pattern=_SEMVER_PATTERN, emit=str)
+    record: str = _meta(minLength=1, load=str)
+    source: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
 class Freshness:
-    as_of: str
-    update_policy: str
-    stale_after: Optional[str] = None
+    as_of: str = _meta(format="date-time")
+    update_policy: str = _vocab("versioned", "living", "frozen")
+    stale_after: Optional[str] = _meta(None, format="date-time")
 
 
 @dataclass(frozen=True)
 class Coverage:
-    statements: str
-    evidence: str
+    statements: str = _vocab("none", "partial", "main_claims_only", "full")
+    evidence: str = _vocab("none", "partial", "key_evidence_only", "full")
 
 
 @dataclass(frozen=True)
 class Author:
-    name: str
+    name: str = _meta(minLength=1)
     affiliation: Optional[str] = None
     role: Optional[str] = None
     orcid: Optional[str] = None
@@ -494,44 +412,10 @@ class Author:
 
 @dataclass(frozen=True)
 class ExternalMetadataRef:
-    standard: str
-    locator: str
-
-
-# Root fields in canonical order.  The first seventeen are required; the rest
-# are optional.  The root rejects any key outside this set.
-ROOT_REQUIRED_FIELDS = (
-    "$schema",
-    "knows_version",
-    "record_id",
-    "profile",
-    "subject_ref",
-    "title",
-    "summary",
-    "authors",
-    "license",
-    "coverage",
-    "artifacts",
-    "statements",
-    "evidence",
-    "relations",
-    "provenance",
-    "version",
-    "freshness",
-)
-ROOT_OPTIONAL_FIELDS = (
-    "abstract",
-    "venue",
-    "year",
-    "keywords",
-    "record_status",
-    "replaces",
-    "actions",
-    "resources",
-    "external_metadata_refs",
-    "extensions",
-)
-ROOT_FIELDS = ROOT_REQUIRED_FIELDS + ROOT_OPTIONAL_FIELDS
+    standard: str = _vocab(
+        "datacite", "codemeta", "citation_cff", "croissant", "model_card", "ro_crate"
+    )
+    locator: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
@@ -543,15 +427,15 @@ class KnowsRecord:
     rides along outside the value via :mod:`knows_sidecar.serialization`.
     """
 
-    schema_uri: str
-    knows_version: SpecVersion
-    record_id: str
-    profile: Profile
-    subject_ref: EntityId
-    title: str
-    summary: str
-    authors: tuple[Author, ...]
-    license: str
+    schema_uri: str = _meta(minLength=1, key="$schema", missing=SCHEMA_URI)
+    knows_version: SpecVersion = _meta(pattern=_SEMVER_PATTERN)
+    record_id: str = _meta(minLength=1, pattern=r"^[^#]+$")
+    profile: Profile = _meta(pattern=_PROFILE_PATTERN)
+    subject_ref: EntityId = _meta(minLength=1)
+    title: str = _meta(minLength=1)
+    summary: str = _meta(minLength=1)
+    authors: tuple[Author, ...] = _meta(minItems=1)
+    license: str = _meta(minLength=1)
     coverage: Coverage
     artifacts: tuple[Artifact, ...]
     statements: tuple[Statement, ...]
@@ -564,8 +448,8 @@ class KnowsRecord:
     venue: Optional[str] = None
     year: Optional[int] = None
     keywords: tuple[str, ...] = ()
-    record_status: Optional[str] = None
-    replaces: Optional[str] = None
+    record_status: Optional[str] = _vocab("active", "superseded", "retracted", default=None)
+    replaces: Optional[str] = _meta(None, minLength=1, pattern=r"^[^#]+$")
     actions: tuple[Action, ...] = ()
     resources: tuple[Any, ...] = ()
     external_metadata_refs: tuple[ExternalMetadataRef, ...] = ()
@@ -607,6 +491,40 @@ class KnowsRecord:
             if str(art.id) == str(self.subject_ref):
                 return art
         return None
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One field of the shape table, its type hint taken apart.
+
+    ``kind`` is the value type (the item type when ``many``): ``str``,
+    ``int``, ``float``, ``bool``, ``dict``, ``Any``, or a dataclass.
+    """
+
+    name: str
+    key: str
+    required: bool
+    kind: Any
+    many: bool
+    meta: Mapping[str, Any]
+
+
+@cache
+def slots(cls: type) -> tuple[Slot, ...]:
+    """The fields of a model dataclass in declaration order."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if get_origin(hint) is Union:
+            hint = next(arg for arg in get_args(hint) if arg is not type(None))
+        many = get_origin(hint) is tuple
+        if many:
+            hint = get_args(hint)[0]
+        required = f.default is MISSING and f.default_factory is MISSING
+        key = f.metadata.get("key", f.name)
+        out.append(Slot(f.name, key, required, get_origin(hint) or hint, many, f.metadata))
+    return tuple(out)
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -28,6 +28,7 @@ from .model import (
     Profile,
     Provenance,
     Ref,
+    SCHEMA_URI,
     Representation,
     SourceAnchor,
     SpecVersion,
@@ -181,7 +182,7 @@ def scaffold_record(
         record_id = slugify(spec.title)
 
     return KnowsRecord(
-        schema_uri="https://knows.dev/schema/record-0.9.json",
+        schema_uri=SCHEMA_URI,
         knows_version=SpecVersion(0, 9, 0),
         record_id=record_id,
         profile=spec.profile,

@@ -2,7 +2,8 @@
 
 ``RECORD_SCHEMA`` is the JSON Schema the ``$schema`` root key points at,
 expressed as a plain dict so tests can cross-check it with an off-the-shelf
-validator.  :func:`validate_tree` is an independent evaluator for the schema
+validator.  It is built once, at import, from the field table of the model
+dataclasses.  :func:`validate_tree` is an independent evaluator for the schema
 subset used here; the linter's check 1 is built on it so its verdict stays
 equivalent to validating the raw tree against the schema.
 """
@@ -13,281 +14,61 @@ import re
 from typing import Any
 
 from . import model
-from .model import enum_values, is_timestamp
+from .model import is_timestamp
 
-_SEMVER_PATTERN = r"^\d+\.\d+\.\d+$"
-_PROFILE_PATTERN = r"^.+@[1-9]\d*$"
-
-_ANCHOR_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["representation_ref", "locator_type", "locator"],
-    "properties": {
-        "representation_ref": {"type": "string", "minLength": 1},
-        "locator_type": {"enum": sorted(enum_values(model.AnchorLocatorType))},
-        "locator": {"type": "string", "minLength": 1},
-    },
+_JSON_TYPES = {
+    str: "string",
+    **dict.fromkeys(model.STRING_PARSERS, "string"),
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    dict: "object",
 }
 
-_PROVENANCE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["origin", "actor", "generated_at"],
-    "properties": {
-        "origin": {"enum": sorted(enum_values(model.Origin))},
-        "actor": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name", "type"],
-            "properties": {
-                "name": {"type": "string", "minLength": 1},
-                "type": {"enum": sorted(enum_values(model.ActorType))},
-            },
-        },
-        "generated_at": {"type": "string", "format": "date-time"},
-        "method": {"type": "string"},
-        "verification": {"type": "string"},
-        "x_extensions": {"type": "object"},
-    },
-}
 
-_CONFIDENCE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["claim_strength", "extraction_fidelity"],
-    "properties": {
-        "claim_strength": {"enum": sorted(enum_values(model.ConfidenceLevel))},
-        "extraction_fidelity": {"enum": sorted(enum_values(model.ConfidenceLevel))},
-    },
-}
+def _value_schema(kind: Any, meta: Any) -> dict[str, Any]:
+    if "enum" in meta:
+        return {"enum": sorted(meta["enum"])}
+    if kind not in _JSON_TYPES:
+        return _object_schema(kind, meta)
+    schema = {"type": _JSON_TYPES[kind]}
+    for keyword in ("minLength", "pattern", "format"):
+        if keyword in meta:
+            schema[keyword] = meta[keyword]
+    return schema
 
-_OBSERVATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["metric"],
-    "properties": {
-        "metric": {"type": "string", "minLength": 1},
-        "value": {"type": "number"},
-        "unit": {"type": "string"},
-        "qualitative_value": {"type": "string", "minLength": 1},
-    },
-    "oneOf": [
-        {"required": ["value"], "not": {"required": ["qualitative_value"]}},
-        {"required": ["qualitative_value"], "not": {"required": ["value"]}},
-    ],
-}
 
-_ARTIFACT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "artifact_type", "role", "title"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "artifact_type": {"enum": sorted(enum_values(model.ArtifactType))},
-        "role": {"enum": sorted(enum_values(model.ArtifactRole))},
-        "title": {"type": "string", "minLength": 1},
-        "identifiers": {
-            "type": "object",
-            "additionalProperties": False,
-            "minProperties": 1,
-            "properties": {
-                "doi": {"type": "string", "minLength": 1},
-                "arxiv": {"type": "string", "minLength": 1},
-                "isbn": {"type": "string", "minLength": 1},
-                "url": {"type": "string", "minLength": 1},
-            },
-        },
-        "representations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["id", "media_type", "locator"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "media_type": {"type": "string", "minLength": 1},
-                    "locator": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["type", "value"],
-                        "properties": {
-                            "type": {"enum": sorted(enum_values(model.LocatorType))},
-                            "value": {"type": "string", "minLength": 1},
-                        },
-                    },
-                },
-            },
-        },
-        "x_extensions": {"type": "object"},
-    },
-}
+def _slot_schema(slot: model.Slot) -> dict[str, Any]:
+    if not slot.many:
+        return _value_schema(slot.kind, slot.meta)
+    schema: dict[str, Any] = {"type": "array"}
+    if "minItems" in slot.meta:
+        schema["minItems"] = slot.meta["minItems"]
+    if slot.kind is not Any:
+        schema["items"] = _value_schema(slot.kind, slot.meta)
+    return schema
 
-_STATEMENT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "statement_type", "text", "about_ref", "status"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "statement_type": {"enum": sorted(enum_values(model.StatementType))},
-        "text": {"type": "string", "minLength": 1},
-        "about_ref": {"type": "string", "minLength": 1},
-        "status": {"enum": sorted(enum_values(model.StatementStatus))},
-        "modality": {"enum": sorted(enum_values(model.Modality))},
-        "source_anchors": {"type": "array", "items": _ANCHOR_SCHEMA},
-        "confidence": _CONFIDENCE_SCHEMA,
-        "provenance": _PROVENANCE_SCHEMA,
-        "x_extensions": {"type": "object"},
-    },
-}
 
-_EVIDENCE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "evidence_type", "summary"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "evidence_type": {"enum": sorted(enum_values(model.EvidenceType))},
-        "summary": {"type": "string", "minLength": 1},
-        "source_anchors": {"type": "array", "items": _ANCHOR_SCHEMA},
-        "observations": {"type": "array", "items": _OBSERVATION_SCHEMA},
-        "provenance": _PROVENANCE_SCHEMA,
-        "x_extensions": {"type": "object"},
-    },
-}
+def _object_schema(cls: type, meta: Any) -> dict[str, Any]:
+    """A closed object: the dataclass's fields plus the field's object keywords."""
+    slots = model.slots(cls)
+    schema: dict[str, Any] = {"type": "object", "additionalProperties": False}
+    if "minProperties" in meta:
+        schema["minProperties"] = meta["minProperties"]
+    required = [slot.key for slot in slots if slot.required]
+    if required:
+        schema["required"] = required
+    schema["properties"] = {slot.key: _slot_schema(slot) for slot in slots}
+    if "exactly_one_of" in meta:
+        a, b = meta["exactly_one_of"]
+        schema["oneOf"] = [
+            {"required": [a], "not": {"required": [b]}},
+            {"required": [b], "not": {"required": [a]}},
+        ]
+    return schema
 
-_RELATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "subject_ref", "predicate", "object_ref"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "subject_ref": {"type": "string", "minLength": 1},
-        "predicate": {"enum": sorted(enum_values(model.Predicate))},
-        "object_ref": {"type": "string", "minLength": 1},
-        "citation_intent": {"enum": sorted(enum_values(model.CitationIntent))},
-        "x_extensions": {"type": "object"},
-    },
-}
 
-_ACTION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "action_type", "label", "target_ref", "interface", "safety"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "action_type": {"enum": sorted(enum_values(model.ActionType))},
-        "label": {"type": "string", "minLength": 1},
-        "target_ref": {"type": "string", "minLength": 1},
-        "interface": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "locator"],
-            "properties": {
-                "kind": {"enum": sorted(enum_values(model.InterfaceKind))},
-                "locator": {"type": "string", "minLength": 1},
-            },
-        },
-        "safety": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["sandbox_required", "network", "secrets_required", "side_effects"],
-            "properties": {
-                "sandbox_required": {"type": "boolean"},
-                "network": {"type": "boolean"},
-                "secrets_required": {"type": "boolean"},
-                "side_effects": {"enum": sorted(enum_values(model.SideEffects))},
-            },
-        },
-        "x_extensions": {"type": "object"},
-    },
-}
-
-RECORD_SCHEMA: dict[str, Any] = {
-    "$id": model.SCHEMA_URI,
-    "type": "object",
-    "additionalProperties": False,
-    "required": list(model.ROOT_REQUIRED_FIELDS),
-    "properties": {
-        "$schema": {"type": "string", "minLength": 1},
-        "knows_version": {"type": "string", "pattern": _SEMVER_PATTERN},
-        "record_id": {"type": "string", "minLength": 1, "pattern": r"^[^#]+$"},
-        "profile": {"type": "string", "pattern": _PROFILE_PATTERN},
-        "subject_ref": {"type": "string", "minLength": 1},
-        "title": {"type": "string", "minLength": 1},
-        "summary": {"type": "string", "minLength": 1},
-        "authors": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "affiliation": {"type": "string"},
-                    "role": {"type": "string"},
-                    "orcid": {"type": "string"},
-                },
-            },
-        },
-        "license": {"type": "string", "minLength": 1},
-        "coverage": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["statements", "evidence"],
-            "properties": {
-                "statements": {"enum": sorted(enum_values(model.CoverageStatements))},
-                "evidence": {"enum": sorted(enum_values(model.CoverageEvidence))},
-            },
-        },
-        "artifacts": {"type": "array", "items": _ARTIFACT_SCHEMA},
-        "statements": {"type": "array", "items": _STATEMENT_SCHEMA},
-        "evidence": {"type": "array", "items": _EVIDENCE_SCHEMA},
-        "relations": {"type": "array", "items": _RELATION_SCHEMA},
-        "provenance": _PROVENANCE_SCHEMA,
-        "version": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["spec", "record", "source"],
-            "properties": {
-                "spec": {"type": "string", "pattern": _SEMVER_PATTERN},
-                "record": {"type": "string", "minLength": 1},
-                "source": {"type": "string", "minLength": 1},
-            },
-        },
-        "freshness": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["as_of", "update_policy"],
-            "properties": {
-                "as_of": {"type": "string", "format": "date-time"},
-                "update_policy": {"enum": sorted(enum_values(model.UpdatePolicy))},
-                "stale_after": {"type": "string", "format": "date-time"},
-            },
-        },
-        "abstract": {"type": "string"},
-        "venue": {"type": "string"},
-        "year": {"type": "integer"},
-        "keywords": {"type": "array", "items": {"type": "string"}},
-        "record_status": {"enum": sorted(enum_values(model.RecordStatus))},
-        "replaces": {"type": "string", "minLength": 1, "pattern": r"^[^#]+$"},
-        "actions": {"type": "array", "items": _ACTION_SCHEMA},
-        "resources": {"type": "array"},
-        "external_metadata_refs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["standard", "locator"],
-                "properties": {
-                    "standard": {"enum": sorted(enum_values(model.MetadataStandard))},
-                    "locator": {"type": "string", "minLength": 1},
-                },
-            },
-        },
-        "extensions": {"type": "object"},
-    },
-}
+RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **_object_schema(model.KnowsRecord, {})}
 
 
 # ---------------------------------------------------------------------------

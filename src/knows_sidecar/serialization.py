@@ -5,51 +5,23 @@ keys, out-of-vocabulary enum values) never abort the load.  They stay visible
 in the retained document tree so the linter can report them, and enum-valued
 fields keep their raw strings.  Emission is canonical: root fields in declared
 order, entity fields in declaration order, so two emissions of the same record
-are byte-identical.
+are byte-identical.  Both directions run on plans compiled once per dataclass
+from the field table in :mod:`knows_sidecar.model`.
 """
 
 from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, is_dataclass
+from functools import cache
+from typing import Any, Callable, Optional
 
 import yaml
 
 from . import model
 from .errors import MalformedError, RecordSyntaxError, TypeMismatchError
-from .model import (
-    Action,
-    ActionInterface,
-    Actor,
-    Artifact,
-    Author,
-    Confidence,
-    Coverage,
-    EntityId,
-    Evidence,
-    ExternalMetadataRef,
-    Freshness,
-    Identifiers,
-    KnowsRecord,
-    Locator,
-    Observation,
-    Profile,
-    Provenance,
-    Ref,
-    Relation,
-    Representation,
-    SafetyPolicy,
-    SourceAnchor,
-    SpecVersion,
-    Statement,
-    VersionTriple,
-    parse_entity_id,
-    parse_profile,
-    parse_ref,
-    parse_spec_version,
-)
+from .model import KnowsRecord
 
 
 @dataclass(frozen=True)
@@ -103,18 +75,26 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     """Decode one YAML document into a typed record plus an unknown-field log.
 
-    Raises :class:`RecordSyntaxError` for malformed YAML or multi-document
-    streams and :class:`TypeMismatchError` when the root is not a mapping.
+    Raises :class:`RecordSyntaxError` for bytes that are not UTF-8, malformed
+    YAML or multi-document streams and :class:`TypeMismatchError` when the
+    root is not a mapping.
     """
     if isinstance(data, str):
         raw = data.encode("utf-8")
     else:
         raw = bytes(data)
-    text = raw.decode("utf-8-sig")
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise RecordSyntaxError(f"not UTF-8: {exc}") from exc
     try:
         docs = list(yaml.load_all(text, Loader=_LOADER))
     except yaml.YAMLError as exc:
         raise RecordSyntaxError(f"invalid YAML: {exc}") from exc
+    except (AttributeError, LookupError, ValueError) as exc:
+        # PyYAML's constructors raise these for an explicitly tagged scalar
+        # that its tag cannot read, such as ``!!int abc`` or ``!!bool x``.
+        raise RecordSyntaxError(f"invalid YAML: bad tagged scalar ({exc!r})") from exc
     docs = [d for d in docs if d is not None]
     if len(docs) != 1:
         raise RecordSyntaxError(f"expected exactly one YAML document, got {len(docs)}")
@@ -123,561 +103,177 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
         raise TypeMismatchError("record root must be a mapping")
 
     log: list[UnknownFieldEntry] = []
-    record = _record_from_tree(tree, log)
+    for key in tree:
+        if key not in _ROOT_KEYS:
+            log.append(UnknownFieldEntry(path="", key=str(key)))
+    # Root extensions are logged before any entity's x_extensions.
+    _extension_map(tree.get("extensions"), "", "extensions", log)
+    record = _load_root(tree, "", "", log)
     attach_source(record, SourceDocument(raw=raw, tree=tree))
     return record, UnknownFieldLog(tuple(log))
-
-
-def _log_extension_keys(value: Any, path: str, log: list[UnknownFieldEntry]) -> None:
-    if isinstance(value, dict):
-        for key in value:
-            log.append(UnknownFieldEntry(path=path, key=str(key)))
-
-
-def _id(value: Any) -> Any:
-    """Parse an entity ID leniently, keeping the raw value on failure."""
-    try:
-        return parse_entity_id(value)
-    except MalformedError:
-        return value
-
-
-def _ref(value: Any) -> Any:
-    try:
-        return parse_ref(value)
-    except MalformedError:
-        return value
-
-
-def _str_or_none(value: Any) -> Optional[str]:
-    return value if isinstance(value, str) else None
-
-
-def _mapping(value: Any) -> dict[str, Any]:
-    return value if isinstance(value, dict) else {}
 
 
 def _sequence(value: Any) -> list[Any]:
     return value if isinstance(value, list) else []
 
 
-def _maybe(ctor, value: Any, path: str, log: list[UnknownFieldEntry]):
+def _lenient(parse: Callable[[Any], Any]) -> Callable[..., Any]:
+    """Parse a value, keeping the raw value when it does not parse."""
+
+    def convert(value: Any, path: str, key: str, log: list[UnknownFieldEntry]) -> Any:
+        try:
+            return parse(value)
+        except MalformedError:
+            return value
+
+    return convert
+
+
+def _instance_of(kind: type) -> Callable[..., Any]:
+    """Keep a value of type ``kind``; anything else loads as None."""
+
+    def convert(value: Any, path: str, key: str, log: list[UnknownFieldEntry]) -> Any:
+        return value if isinstance(value, kind) else None
+
+    return convert
+
+
+def _items(item: Callable[..., Any]) -> Callable[..., tuple]:
+    """Load a list of objects, skipping items that are not mappings."""
+
+    def convert(value: Any, path: str, key: str, log: list[UnknownFieldEntry]) -> tuple:
+        if not isinstance(value, list):
+            return ()
+        path = f"{path}/{key}" if path else key
+        return tuple(item(v, path, i, log) for i, v in enumerate(value) if isinstance(v, dict))
+
+    return convert
+
+
+def _extension_map(value: Any, path: str, key: str, log: list[UnknownFieldEntry]) -> Any:
+    """Keep a mapping of extension keys, logging each key."""
     if not isinstance(value, dict):
         return None
-    return ctor(value, path, log)
+    path = f"{path}/{key}" if path else key
+    for name in value:
+        log.append(UnknownFieldEntry(path=path, key=str(name)))
+    return value
 
 
-def _identifiers(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Identifiers:
-    return Identifiers(
-        doi=_str_or_none(m.get("doi")),
-        arxiv=_str_or_none(m.get("arxiv")),
-        isbn=_str_or_none(m.get("isbn")),
-        url=_str_or_none(m.get("url")),
+def _load_converter(slot: model.Slot, log_extensions: bool) -> Optional[Callable[..., Any]]:
+    """How one field loads, or None to keep the value as it is."""
+    meta, kind = slot.meta, slot.kind
+    if "load" in meta:
+        load = meta["load"]
+        return lambda v, *_: None if v is None else load(v)
+    if meta.get("raw"):
+        return None
+    if slot.many:
+        if is_dataclass(kind):
+            return _items(_loader(kind))
+        if kind is Any:
+            return lambda v, *_: tuple(_sequence(v))
+        return lambda v, *_: tuple(x for x in _sequence(v) if isinstance(x, kind))
+    if kind is dict:
+        return _extension_map if log_extensions else _instance_of(dict)
+    if kind in model.STRING_PARSERS:
+        return _lenient(model.STRING_PARSERS[kind])
+    if is_dataclass(kind):
+        return _loader(kind)
+    if not slot.required:
+        return _instance_of(kind)
+    return None
+
+
+@cache
+def _loader(cls: type, log_extensions: bool = True) -> Callable[..., Any]:
+    """Compile the lenient loader of one dataclass from its field table.
+
+    Each step is (key, value when the key is absent, converter or None).  A
+    converter is called as ``convert(value, path, key, log)``, where ``path``
+    is the path of the mapping that holds ``key``.  The loader is itself a
+    converter: a value that is not a mapping loads as None.
+    """
+    steps = tuple(
+        (slot.key, slot.meta.get("missing"), _load_converter(slot, log_extensions))
+        for slot in model.slots(cls)
     )
 
+    def load(tree: Any, path: str, key: Any, log: list[UnknownFieldEntry]) -> Any:
+        if not isinstance(tree, dict):
+            return None
+        path = f"{path}/{key}" if path else key
+        args = []
+        for k, missing, convert in steps:
+            value = tree.get(k, missing)
+            args.append(value if convert is None else convert(value, path, k, log))
+        return cls(*args)
 
-def _locator(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Locator:
-    return Locator(type=m.get("type"), value=m.get("value"))
-
-
-def _representation(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Representation:
-    return Representation(
-        id=_id(m.get("id")),
-        media_type=m.get("media_type"),
-        locator=_maybe(_locator, m.get("locator"), f"{path}/locator", log),
-    )
-
-
-def _source_anchor(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> SourceAnchor:
-    return SourceAnchor(
-        representation_ref=_id(m.get("representation_ref")),
-        locator_type=m.get("locator_type"),
-        locator=m.get("locator"),
-    )
+    return load
 
 
-def _anchors(value: Any, path: str, log: list[UnknownFieldEntry]) -> tuple[SourceAnchor, ...]:
-    return tuple(
-        _source_anchor(item, f"{path}/{i}", log)
-        for i, item in enumerate(_sequence(value))
-        if isinstance(item, dict)
-    )
-
-
-def _confidence(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Confidence:
-    return Confidence(
-        claim_strength=m.get("claim_strength"),
-        extraction_fidelity=m.get("extraction_fidelity"),
-    )
-
-
-def _actor(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Actor:
-    return Actor(name=m.get("name"), type=m.get("type"))
-
-
-def _provenance(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Provenance:
-    x = m.get("x_extensions")
-    _log_extension_keys(x, f"{path}/x_extensions", log)
-    return Provenance(
-        origin=m.get("origin"),
-        actor=_maybe(_actor, m.get("actor"), f"{path}/actor", log),
-        generated_at=m.get("generated_at"),
-        method=_str_or_none(m.get("method")),
-        verification=_str_or_none(m.get("verification")),
-        x_extensions=x if isinstance(x, dict) else None,
-    )
-
-
-def _x_extensions(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Optional[dict[str, Any]]:
-    x = m.get("x_extensions")
-    _log_extension_keys(x, f"{path}/x_extensions", log)
-    return x if isinstance(x, dict) else None
-
-
-def _artifact(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Artifact:
-    return Artifact(
-        id=_id(m.get("id")),
-        artifact_type=m.get("artifact_type"),
-        role=m.get("role"),
-        title=m.get("title"),
-        identifiers=_maybe(_identifiers, m.get("identifiers"), f"{path}/identifiers", log),
-        representations=tuple(
-            _representation(item, f"{path}/representations/{i}", log)
-            for i, item in enumerate(_sequence(m.get("representations")))
-            if isinstance(item, dict)
-        ),
-        x_extensions=_x_extensions(m, path, log),
-    )
-
-
-def _statement(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Statement:
-    return Statement(
-        id=_id(m.get("id")),
-        statement_type=m.get("statement_type"),
-        text=m.get("text"),
-        about_ref=_ref(m.get("about_ref")),
-        status=m.get("status"),
-        modality=_str_or_none(m.get("modality")),
-        source_anchors=_anchors(m.get("source_anchors"), f"{path}/source_anchors", log),
-        confidence=_maybe(_confidence, m.get("confidence"), f"{path}/confidence", log),
-        provenance=_maybe(_provenance, m.get("provenance"), f"{path}/provenance", log),
-        x_extensions=_x_extensions(m, path, log),
-    )
-
-
-def _observation(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Observation:
-    return Observation(
-        metric=m.get("metric"),
-        value=m.get("value"),
-        unit=_str_or_none(m.get("unit")),
-        qualitative_value=_str_or_none(m.get("qualitative_value")),
-    )
-
-
-def _evidence(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Evidence:
-    return Evidence(
-        id=_id(m.get("id")),
-        evidence_type=m.get("evidence_type"),
-        summary=m.get("summary"),
-        source_anchors=_anchors(m.get("source_anchors"), f"{path}/source_anchors", log),
-        observations=tuple(
-            _observation(item, f"{path}/observations/{i}", log)
-            for i, item in enumerate(_sequence(m.get("observations")))
-            if isinstance(item, dict)
-        ),
-        provenance=_maybe(_provenance, m.get("provenance"), f"{path}/provenance", log),
-        x_extensions=_x_extensions(m, path, log),
-    )
-
-
-def _relation(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Relation:
-    return Relation(
-        id=_id(m.get("id")),
-        subject_ref=_ref(m.get("subject_ref")),
-        predicate=m.get("predicate"),
-        object_ref=_ref(m.get("object_ref")),
-        citation_intent=_str_or_none(m.get("citation_intent")),
-        x_extensions=_x_extensions(m, path, log),
-    )
-
-
-def _interface(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> ActionInterface:
-    return ActionInterface(kind=m.get("kind"), locator=m.get("locator"))
-
-
-def _safety(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> SafetyPolicy:
-    return SafetyPolicy(
-        sandbox_required=m.get("sandbox_required"),
-        network=m.get("network"),
-        secrets_required=m.get("secrets_required"),
-        side_effects=m.get("side_effects"),
-    )
-
-
-def _action(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Action:
-    return Action(
-        id=_id(m.get("id")),
-        action_type=m.get("action_type"),
-        label=m.get("label"),
-        target_ref=_ref(m.get("target_ref")),
-        interface=_maybe(_interface, m.get("interface"), f"{path}/interface", log),
-        safety=_maybe(_safety, m.get("safety"), f"{path}/safety", log),
-        x_extensions=_x_extensions(m, path, log),
-    )
-
-
-def _author(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Author:
-    return Author(
-        name=m.get("name"),
-        affiliation=_str_or_none(m.get("affiliation")),
-        role=_str_or_none(m.get("role")),
-        orcid=_str_or_none(m.get("orcid")),
-    )
-
-
-def _coverage(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Coverage:
-    return Coverage(statements=m.get("statements"), evidence=m.get("evidence"))
-
-
-def _version_triple(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> VersionTriple:
-    spec = m.get("spec")
-    try:
-        spec = parse_spec_version(spec)
-    except MalformedError:
-        pass
-    record = m.get("record")
-    return VersionTriple(
-        spec=spec,
-        record=str(record) if record is not None else None,
-        source=m.get("source") if isinstance(m.get("source"), str) else m.get("source"),
-    )
-
-
-def _freshness(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> Freshness:
-    return Freshness(
-        as_of=m.get("as_of"),
-        update_policy=m.get("update_policy"),
-        stale_after=_str_or_none(m.get("stale_after")),
-    )
-
-
-def _external_ref(m: dict[str, Any], path: str, log: list[UnknownFieldEntry]) -> ExternalMetadataRef:
-    return ExternalMetadataRef(standard=m.get("standard"), locator=m.get("locator"))
-
-
-def _record_from_tree(tree: dict[str, Any], log: list[UnknownFieldEntry]) -> KnowsRecord:
-    for key in tree:
-        if key not in model.ROOT_FIELDS:
-            log.append(UnknownFieldEntry(path="", key=str(key)))
-    extensions = tree.get("extensions")
-    _log_extension_keys(extensions, "extensions", log)
-
-    knows_version = tree.get("knows_version")
-    try:
-        knows_version = parse_spec_version(knows_version)
-    except MalformedError:
-        pass
-    profile = tree.get("profile")
-    try:
-        profile = parse_profile(profile)
-    except MalformedError:
-        pass
-
-    return KnowsRecord(
-        schema_uri=tree.get("$schema", model.SCHEMA_URI),
-        knows_version=knows_version,
-        record_id=tree.get("record_id"),
-        profile=profile,
-        subject_ref=_id(tree.get("subject_ref")),
-        title=tree.get("title"),
-        summary=tree.get("summary"),
-        authors=tuple(
-            _author(item, f"authors/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("authors")))
-            if isinstance(item, dict)
-        ),
-        license=tree.get("license"),
-        coverage=_maybe(_coverage, tree.get("coverage"), "coverage", log),
-        artifacts=tuple(
-            _artifact(item, f"artifacts/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("artifacts")))
-            if isinstance(item, dict)
-        ),
-        statements=tuple(
-            _statement(item, f"statements/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("statements")))
-            if isinstance(item, dict)
-        ),
-        evidence=tuple(
-            _evidence(item, f"evidence/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("evidence")))
-            if isinstance(item, dict)
-        ),
-        relations=tuple(
-            _relation(item, f"relations/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("relations")))
-            if isinstance(item, dict)
-        ),
-        provenance=_maybe(_provenance, tree.get("provenance"), "provenance", log),
-        version=_maybe(_version_triple, tree.get("version"), "version", log),
-        freshness=_maybe(_freshness, tree.get("freshness"), "freshness", log),
-        abstract=_str_or_none(tree.get("abstract")),
-        venue=_str_or_none(tree.get("venue")),
-        year=tree.get("year") if isinstance(tree.get("year"), int) else None,
-        keywords=tuple(k for k in _sequence(tree.get("keywords")) if isinstance(k, str)),
-        record_status=_str_or_none(tree.get("record_status")),
-        replaces=_str_or_none(tree.get("replaces")),
-        actions=tuple(
-            _action(item, f"actions/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("actions")))
-            if isinstance(item, dict)
-        ),
-        resources=tuple(_sequence(tree.get("resources"))),
-        external_metadata_refs=tuple(
-            _external_ref(item, f"external_metadata_refs/{i}", log)
-            for i, item in enumerate(_sequence(tree.get("external_metadata_refs")))
-            if isinstance(item, dict)
-        ),
-        extensions=extensions if isinstance(extensions, dict) else None,
-    )
+_ROOT_KEYS = frozenset(slot.key for slot in model.slots(KnowsRecord))
+_load_root = _loader(KnowsRecord, log_extensions=False)
 
 
 # ---------------------------------------------------------------------------
 # Emission
 
-
-def _drop_none(m: dict[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in m.items() if v is not None}
+_RENDERED = tuple(model.STRING_PARSERS)
 
 
-def _render_id(value: Any) -> Any:
-    return str(value) if isinstance(value, (EntityId, Ref)) else value
+def _render(value: Any) -> Any:
+    return str(value) if isinstance(value, _RENDERED) else value
 
 
-def _identifiers_tree(v: Identifiers) -> dict[str, Any]:
-    return _drop_none({"doi": v.doi, "arxiv": v.arxiv, "isbn": v.isbn, "url": v.url})
+def _emit_converter(slot: model.Slot) -> Optional[Callable[[Any], Any]]:
+    """How one field emits, or None to emit the value as it is."""
+    kind = slot.kind
+    if "emit" in slot.meta:
+        return slot.meta["emit"]
+    if slot.many:
+        if is_dataclass(kind):
+            item = _emitter(kind)
+            if slot.required:
+                return lambda v: [item(x) for x in v]
+            return lambda v: [item(x) for x in v] or None
+        return lambda v: list(v) or None
+    if kind in model.STRING_PARSERS:
+        return _render
+    if is_dataclass(kind):
+        return _emitter(kind)
+    return None
 
 
-def _locator_tree(v: Optional[Locator]) -> Optional[dict[str, Any]]:
-    if v is None:
-        return None
-    return _drop_none({"type": v.type, "value": v.value})
+@cache
+def _emitter(cls: type) -> Callable[[Any], dict[str, Any]]:
+    """Compile the canonical tree builder of one dataclass from its field table.
+
+    Each step is (attribute, key, converter or None).  A converter sees only
+    values that are not None; a None value or result drops the key, and an
+    optional list that is empty drops it too.
+    """
+    steps = tuple((slot.name, slot.key, _emit_converter(slot)) for slot in model.slots(cls))
+
+    def emit(obj: Any) -> dict[str, Any]:
+        tree = {}
+        for attr, key, convert in steps:
+            value = getattr(obj, attr)
+            if value is not None and convert is not None:
+                value = convert(value)
+            if value is not None:
+                tree[key] = value
+        return tree
+
+    return emit
 
 
-def _representation_tree(v: Representation) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "media_type": v.media_type,
-            "locator": _locator_tree(v.locator),
-        }
-    )
-
-
-def _anchor_tree(v: SourceAnchor) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "representation_ref": _render_id(v.representation_ref),
-            "locator_type": v.locator_type,
-            "locator": v.locator,
-        }
-    )
-
-
-def _provenance_tree(v: Optional[Provenance]) -> Optional[dict[str, Any]]:
-    if v is None:
-        return None
-    actor = None
-    if v.actor is not None:
-        actor = _drop_none({"name": v.actor.name, "type": v.actor.type})
-    return _drop_none(
-        {
-            "origin": v.origin,
-            "actor": actor,
-            "generated_at": v.generated_at,
-            "method": v.method,
-            "verification": v.verification,
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _artifact_tree(v: Artifact) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "artifact_type": v.artifact_type,
-            "role": v.role,
-            "title": v.title,
-            "identifiers": _identifiers_tree(v.identifiers) if v.identifiers else None,
-            "representations": [_representation_tree(r) for r in v.representations] or None,
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _confidence_tree(v: Optional[Confidence]) -> Optional[dict[str, Any]]:
-    if v is None:
-        return None
-    return _drop_none(
-        {"claim_strength": v.claim_strength, "extraction_fidelity": v.extraction_fidelity}
-    )
-
-
-def _statement_tree(v: Statement) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "statement_type": v.statement_type,
-            "text": v.text,
-            "about_ref": _render_id(v.about_ref),
-            "status": v.status,
-            "modality": v.modality,
-            "source_anchors": [_anchor_tree(a) for a in v.source_anchors] or None,
-            "confidence": _confidence_tree(v.confidence),
-            "provenance": _provenance_tree(v.provenance),
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _observation_tree(v: Observation) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "metric": v.metric,
-            "value": v.value,
-            "unit": v.unit,
-            "qualitative_value": v.qualitative_value,
-        }
-    )
-
-
-def _evidence_tree(v: Evidence) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "evidence_type": v.evidence_type,
-            "summary": v.summary,
-            "source_anchors": [_anchor_tree(a) for a in v.source_anchors] or None,
-            "observations": [_observation_tree(o) for o in v.observations] or None,
-            "provenance": _provenance_tree(v.provenance),
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _relation_tree(v: Relation) -> dict[str, Any]:
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "subject_ref": _render_id(v.subject_ref),
-            "predicate": v.predicate,
-            "object_ref": _render_id(v.object_ref),
-            "citation_intent": v.citation_intent,
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _action_tree(v: Action) -> dict[str, Any]:
-    interface = None
-    if v.interface is not None:
-        interface = _drop_none({"kind": v.interface.kind, "locator": v.interface.locator})
-    safety = None
-    if v.safety is not None:
-        safety = _drop_none(
-            {
-                "sandbox_required": v.safety.sandbox_required,
-                "network": v.safety.network,
-                "secrets_required": v.safety.secrets_required,
-                "side_effects": v.safety.side_effects,
-            }
-        )
-    return _drop_none(
-        {
-            "id": _render_id(v.id),
-            "action_type": v.action_type,
-            "label": v.label,
-            "target_ref": _render_id(v.target_ref),
-            "interface": interface,
-            "safety": safety,
-            "x_extensions": v.x_extensions,
-        }
-    )
-
-
-def _author_tree(v: Author) -> dict[str, Any]:
-    return _drop_none(
-        {"name": v.name, "affiliation": v.affiliation, "role": v.role, "orcid": v.orcid}
-    )
+_emit_root = _emitter(KnowsRecord)
 
 
 def record_to_tree(record: KnowsRecord) -> dict[str, Any]:
     """Build the canonical document tree: root fields in declared order."""
-    version = None
-    if record.version is not None:
-        version = _drop_none(
-            {
-                "spec": str(record.version.spec) if record.version.spec is not None else None,
-                "record": record.version.record,
-                "source": record.version.source,
-            }
-        )
-    freshness = None
-    if record.freshness is not None:
-        freshness = _drop_none(
-            {
-                "as_of": record.freshness.as_of,
-                "update_policy": record.freshness.update_policy,
-                "stale_after": record.freshness.stale_after,
-            }
-        )
-    coverage = None
-    if record.coverage is not None:
-        coverage = _drop_none(
-            {"statements": record.coverage.statements, "evidence": record.coverage.evidence}
-        )
-    tree: dict[str, Any] = {
-        "$schema": record.schema_uri,
-        "knows_version": str(record.knows_version)
-        if isinstance(record.knows_version, SpecVersion)
-        else record.knows_version,
-        "record_id": record.record_id,
-        "profile": str(record.profile)
-        if isinstance(record.profile, Profile)
-        else record.profile,
-        "subject_ref": _render_id(record.subject_ref),
-        "title": record.title,
-        "summary": record.summary,
-        "authors": [_author_tree(a) for a in record.authors],
-        "license": record.license,
-        "coverage": coverage,
-        "artifacts": [_artifact_tree(a) for a in record.artifacts],
-        "statements": [_statement_tree(s) for s in record.statements],
-        "evidence": [_evidence_tree(e) for e in record.evidence],
-        "relations": [_relation_tree(r) for r in record.relations],
-        "provenance": _provenance_tree(record.provenance),
-        "version": version,
-        "freshness": freshness,
-    }
-    optional: dict[str, Any] = {
-        "abstract": record.abstract,
-        "venue": record.venue,
-        "year": record.year,
-        "keywords": list(record.keywords) or None,
-        "record_status": record.record_status,
-        "replaces": record.replaces,
-        "actions": [_action_tree(a) for a in record.actions] or None,
-        "resources": list(record.resources) or None,
-        "external_metadata_refs": [
-            _drop_none({"standard": r.standard, "locator": r.locator})
-            for r in record.external_metadata_refs
-        ]
-        or None,
-        "extensions": record.extensions,
-    }
-    tree.update(_drop_none(optional))
-    return {k: v for k, v in tree.items() if v is not None}
+    return _emit_root(record)
 
 
 # libyaml's emitter writes the pure emitter's bytes only for trees in a

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from helpers import FIXTURES, make_record
 from knows_sidecar import cli
@@ -69,6 +70,15 @@ class TestLint:
         bad = tmp_path / "broken.yaml"
         bad.write_text("a: [unclosed\n")
         assert run("lint", str(bad)) == 3
+
+    @pytest.mark.parametrize(
+        "body", [b"a: !!timestamp nope\n", b"a: !!int abc\n", b"a: !!bool x\n", b"a: \xff\n"]
+    )
+    def test_unreadable_scalar_or_bytes_is_io_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(body)
+        assert run("lint", str(bad)) == 3
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_no_network_env_blocks_probes(self, monkeypatch, capsys):
         def forbidden(url):
@@ -142,6 +152,19 @@ class TestGraph:
         assert code == 0
         body = capsys.readouterr().out.splitlines()[1:]
         assert body and all("\tcites\t" in line for line in body)
+
+    def test_non_string_predicates_are_left_out(self, tmp_path, capsys):
+        tree = yaml.safe_load((FIXTURES / "moore.knows.yaml").read_bytes())
+        for i, predicate in enumerate((["cites"], 1.5, None)):
+            tree["relations"].append(
+                {"id": f"rel:odd-{i}", "subject_ref": "art:paper", "predicate": predicate,
+                 "object_ref": "art:paper"}
+            )
+        path = tmp_path / "odd.knows.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert run("graph", str(path)) == 0
+        assert "edges=1" in capsys.readouterr().out
+        assert run("graph", str(path), "--seed", "art:paper", "--predicates", "cites") == 0
 
     def test_unknown_seed_exit_one(self):
         assert run("graph", fx("techreport.knows.yaml"), "--seed", "art:ghost") == 1

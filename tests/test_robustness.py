@@ -1,0 +1,110 @@
+"""Whatever a record file holds, the toolchain fails only in documented ways.
+
+A Hypothesis strategy mutates the fixture trees: it sets values to junk, adds
+keys and removes keys.  Each mutated document goes through ``load_record``,
+``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list`` and
+``token_report``.  ``lint`` never raises; every other stage raises only
+``KnowsError``.
+
+The default profile runs a modest number of examples.  For a long run:
+
+    HYPOTHESIS_PROFILE=fuzz pytest tests/test_robustness.py
+"""
+
+import copy
+
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from helpers import FIXTURES
+from knows_sidecar.errors import KnowsError
+from knows_sidecar.graph import build_graph, export_edge_list, trace
+from knows_sidecar.linter import lint
+from knows_sidecar.projection import token_report
+from knows_sidecar.serialization import emit_record, load_record
+
+SMALL_TREES = [
+    yaml.safe_load((FIXTURES / f"{name}.knows.yaml").read_bytes())
+    for name in ("bloom", "minimal", "moore")
+]
+# The techreport fixture costs ten times the others; draw it 1 time in 10.
+BASE_TREES = SMALL_TREES * 3 + [yaml.safe_load((FIXTURES / "techreport.knows.yaml").read_bytes())]
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+WORDS = [
+    "", " ", "x", "art:paper", "art:", "art:a b", "stmt:x#y", "zz:top", "rec#art:paper",
+    "a#b#c", "rep:pdf", "ev:e0", "cites", "supported_by", "same_as", "0.9.0", "9.0.0", "1.2",
+    "paper@1", "paper@0", "2026-01-01T00:00:00Z", "2026-13-01", "url", "path", "high", "full",
+]
+KEYS = [
+    "zzz", "id", "x_extensions", "extensions", "$schema", "predicate", "subject_ref",
+    "object_ref", "relations", "actions", "replaces", "record_id", "value", "citation_intent",
+]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(WORDS),
+    st.text(st.characters(max_codepoint=0x17F), max_size=6),
+)
+keys = st.one_of(st.sampled_from(KEYS), st.integers(0, 3))
+junk = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(keys, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _slots(tree):
+    """Every (container, key) in ``tree``."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            out.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    tree = copy.deepcopy(draw(st.sampled_from(BASE_TREES)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(tree)
+        op = draw(st.sampled_from(["set", "add", "delete"]))
+        if op == "set":
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(junk)
+        elif op == "add":
+            dicts = [tree] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            draw(st.sampled_from(dicts))[draw(keys)] = draw(junk)
+        else:
+            container, key = draw(st.sampled_from([(c, k) for c, k in slots if isinstance(c, dict)]))
+            del container[key]
+    return yaml.dump(tree, Dumper=_DUMPER, sort_keys=False, allow_unicode=True).encode("utf-8")
+
+
+def _graph_stages(record):
+    graph = build_graph([record])
+    export_edge_list(graph)
+    if graph.nodes:
+        export_edge_list(trace(graph.nodes[0], graph, predicates={"cites"}, depth=2))
+
+
+@settings(deadline=None)
+@given(mutated_documents())
+def test_stages_fail_only_with_knows_errors(doc):
+    try:
+        record, _ = load_record(doc)
+    except KnowsError:
+        return
+    lint(record)
+    for stage in (emit_record, _graph_stages, token_report):
+        try:
+            stage(record)
+        except KnowsError:
+            pass

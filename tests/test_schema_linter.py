@@ -113,6 +113,13 @@ def test_fixture_trees_pass_both_validators():
 # Whole-report behavior
 
 
+def test_non_string_root_key_is_a_finding():
+    doc = b"3: x\nzzz: y\n" + (FIXTURES / "minimal.knows.yaml").read_bytes()
+    report = lint(load_record(doc)[0])
+    paths = [f.path for f in findings_with(report, LintCode.SCHEMA)]
+    assert paths == [3, "zzz"]
+
+
 def test_clean_record_passes():
     report = lint(load_fixture("techreport.knows.yaml"))
     assert report.passed

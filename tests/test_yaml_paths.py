@@ -291,6 +291,14 @@ MALFORMED = [
     "%YAML 2.0\n---\na: 1\n",
     "? [a]\n: 1\n",
     "a: 1\n---\nb: 2\n",
+    # Tagged scalars the tag cannot read; PyYAML's constructors raise
+    # AttributeError, ValueError, KeyError and IndexError on these.
+    "a: !!timestamp nope\n",
+    "a: !!int abc\n",
+    "a: !!bool x\n",
+    "a: !!int ''\n",
+    # Not UTF-8.
+    b"a: \xff\n",
 ]
 
 

@@ -166,7 +166,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     records = [_read_record(path) for path in args.files]
     registry = Registry(records)
-    graph = build_graph(records)
     if args.chain:
         chain = version_chain(args.chain, registry)
         for record_id in chain.links:
@@ -174,6 +173,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         if not chain.complete:
             print("# chain incomplete: earliest predecessor not in registry")
         return EXIT_OK
+    graph = build_graph(records)
     if args.seed:
         try:
             home = records[0].record_id

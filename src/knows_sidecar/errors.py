@@ -19,6 +19,10 @@ class RecordSyntaxError(KnowsError):
     """The byte sequence is not a well-formed single YAML document."""
 
 
+class EmissionError(KnowsError):
+    """A record cannot be written as YAML, e.g. a value nested too deeply."""
+
+
 class TypeMismatchError(KnowsError):
     """The document root is not the expected node kind (e.g. scalar where mapping expected)."""
 

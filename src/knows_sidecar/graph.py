@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import (
     ClassMismatchError,
@@ -34,14 +35,41 @@ class Edge:
     relation_id: QualifiedId
 
 
+class _Positions:
+    """Where each key occurs in a sequence, chained: ``last[key]``, then ``before[i]`` from
+    each position ``i`` until -1.  Flat, as a list per key costs the GC an object per node."""
+
+    def __init__(self, keys: Iterable[str]) -> None:
+        self.last: dict[str, int] = {}
+        self.before: list[int] = []
+        for i, key in enumerate(keys):
+            self.before.append(self.last.get(key, -1))
+            self.last[key] = i
+
+    def of(self, key: str) -> Iterator[int]:
+        i = self.last.get(key, -1)
+        while i >= 0:
+            yield i
+            i = self.before[i]
+
+
 @dataclass(frozen=True)
 class RelationGraph:
     nodes: tuple[QualifiedId, ...]
     edges: tuple[Edge, ...]
     dangling: tuple[QualifiedId, ...] = ()
 
+    @cached_property
+    def _index(self) -> tuple[_Positions, _Positions, _Positions]:
+        """Node, edge subject and edge object positions; build_graph presets it."""
+        return (
+            _Positions(map(str, self.nodes)),
+            _Positions(str(e.subject) for e in self.edges),
+            _Positions(str(e.object) for e in self.edges),
+        )
+
     def node_set(self) -> set[str]:
-        return {str(n) for n in self.nodes}
+        return set(self._index[0].last)
 
 
 class Registry:
@@ -102,26 +130,23 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
 def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     """All entities as nodes; all relations as qualified, typed edges.
 
+    Edges are indexed by node, each key rendered once, for :func:`trace`.
     Unresolved remote endpoints become dangling placeholder nodes so partial
     registries remain traversable.  A relation with an unparseable id or
     endpoint, or a predicate that is not a string, is left out; lint reports
     it (K001, K002).
     """
-    nodes: list[QualifiedId] = []
-    node_keys: set[str] = set()
+    nodes: dict[str, QualifiedId] = {}
     dangling: list[QualifiedId] = []
-
-    def add_node(q: QualifiedId) -> None:
-        if str(q) not in node_keys:
-            node_keys.add(str(q))
-            nodes.append(q)
-
     for record in records:
         for entity_id, _ in record.all_entity_ids():
             if isinstance(entity_id, EntityId):
-                add_node(QualifiedId(record.record_id, entity_id))
+                q = QualifiedId(record.record_id, entity_id)
+                nodes.setdefault(str(q), q)
 
     edges: list[Edge] = []
+    subject_keys: list[str] = []
+    object_keys: list[str] = []
     for record in records:
         for rel in record.relations:
             endpoints = []
@@ -133,25 +158,32 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
                     break
                 rid = ref.record_id if ref.is_remote else record.record_id
                 q = QualifiedId(rid, ref.entity)
-                if str(q) not in node_keys:
-                    add_node(q)
+                key = str(q)
+                if key not in nodes:
+                    nodes[key] = q
                     dangling.append(q)
-                endpoints.append(q)
+                endpoints.append((key, q))
             if (
                 endpoints is None
                 or not isinstance(rel.id, EntityId)
                 or not isinstance(rel.predicate, str)
             ):
                 continue
+            (subject_key, subject), (object_key, obj) = endpoints
             edges.append(
                 Edge(
-                    subject=endpoints[0],
+                    subject=subject,
                     predicate=rel.predicate,
-                    object=endpoints[1],
+                    object=obj,
                     relation_id=QualifiedId(record.record_id, rel.id),
                 )
             )
-    return RelationGraph(nodes=tuple(nodes), edges=tuple(edges), dangling=tuple(dangling))
+            subject_keys.append(subject_key)
+            object_keys.append(object_key)
+    graph = RelationGraph(nodes=tuple(nodes.values()), edges=tuple(edges), dangling=tuple(dangling))
+    index = (_Positions(nodes), _Positions(subject_keys), _Positions(object_keys))
+    object.__setattr__(graph, "_index", index)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -190,13 +222,13 @@ def trace(
     """Subgraph reachable from ``seed`` within ``depth`` hops.
 
     Edges are followed in both directions by default; the predicate filter,
-    when given, restricts which edges may be traversed.
+    when given, restricts which edges may be traversed.  A hop reads only the
+    edges at its frontier.  Nodes come in graph order; edges by hop, then position.
     """
-    if str(seed) not in graph.node_set():
+    nodes, subjects, objects = graph._index
+    if str(seed) not in nodes.last:
         raise UnknownEntityError(f"seed {seed} is not a node of the graph")
-    eligible = [
-        e for e in graph.edges if predicates is None or e.predicate in predicates
-    ]
+    ends = [p for p, way in ((subjects, "forward"), (objects, "backward")) if direction in ("both", way)]
     reached: set[str] = {str(seed)}
     frontier: set[str] = {str(seed)}
     used_edges: list[Edge] = []
@@ -205,23 +237,20 @@ def trace(
         if not frontier:
             break
         next_frontier: set[str] = set()
-        for i, edge in enumerate(eligible):
-            forward = direction in ("both", "forward") and str(edge.subject) in frontier
-            backward = direction in ("both", "backward") and str(edge.object) in frontier
-            if forward or backward:
-                if i not in used_keys:
-                    used_keys.add(i)
-                    used_edges.append(edge)
-                for endpoint in (str(edge.subject), str(edge.object)):
-                    if endpoint not in reached:
-                        reached.add(endpoint)
-                        next_frontier.add(endpoint)
+        incident = {i for key in frontier for end in ends for i in end.of(key)}
+        for i in sorted(incident - used_keys):
+            edge = graph.edges[i]
+            if predicates is not None and edge.predicate not in predicates:
+                continue
+            used_keys.add(i)
+            used_edges.append(edge)
+            for endpoint in (str(edge.subject), str(edge.object)):
+                if endpoint not in reached:
+                    reached.add(endpoint)
+                    next_frontier.add(endpoint)
         frontier = next_frontier
-    nodes = tuple(n for n in graph.nodes if str(n) in reached)
-    edges = tuple(
-        e for e in used_edges if str(e.subject) in reached and str(e.object) in reached
-    )
-    return RelationGraph(nodes=nodes, edges=edges)
+    positions = sorted(i for key in reached for i in nodes.of(key))
+    return RelationGraph(nodes=tuple(graph.nodes[i] for i in positions), edges=tuple(used_edges))
 
 
 def export_edge_list(graph: RelationGraph) -> str:

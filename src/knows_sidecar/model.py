@@ -29,6 +29,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 from functools import cache
+from types import MappingProxyType
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import MalformedError, UnknownPrefixError
@@ -418,6 +419,11 @@ class ExternalMetadataRef:
     locator: str = _meta(minLength=1)
 
 
+# Where a record keeps its entity index once built; not a field, so equality,
+# repr and ``dataclasses.replace`` do not see it.
+_ENTITY_INDEX_ATTR = "_knows_entity_index"
+
+
 @dataclass(frozen=True)
 class KnowsRecord:
     """Root sidecar document.
@@ -472,19 +478,25 @@ class KnowsRecord:
             out.append((act.id, f"actions/{i}"))
         return out
 
-    def entity_index(self) -> dict[str, Any]:
-        """Rendered entity ID -> entity, first occurrence wins."""
-        index: dict[str, Any] = {}
-        entities: list[Any] = list(self.artifacts)
-        for art in self.artifacts:
-            entities.extend(art.representations)
-        entities.extend(self.statements)
-        entities.extend(self.evidence)
-        entities.extend(self.relations)
-        entities.extend(self.actions)
-        for entity in entities:
-            index.setdefault(str(entity.id), entity)
-        return index
+    def entity_index(self) -> Mapping[str, Any]:
+        """Rendered entity ID -> entity, first occurrence wins.
+
+        Built once per record, which is frozen, and shared: hence read-only.
+        """
+        index = getattr(self, _ENTITY_INDEX_ATTR, None)
+        if index is None:
+            index = {}
+            entities: list[Any] = list(self.artifacts)
+            for art in self.artifacts:
+                entities.extend(art.representations)
+            entities.extend(self.statements)
+            entities.extend(self.evidence)
+            entities.extend(self.relations)
+            entities.extend(self.actions)
+            for entity in entities:
+                index.setdefault(str(entity.id), entity)
+            object.__setattr__(self, _ENTITY_INDEX_ATTR, index)
+        return MappingProxyType(index)
 
     def subject_artifact(self) -> Optional[Artifact]:
         for art in self.artifacts:

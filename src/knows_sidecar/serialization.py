@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 import yaml
 
 from . import model
-from .errors import MalformedError, RecordSyntaxError, TypeMismatchError
+from .errors import EmissionError, MalformedError, RecordSyntaxError, TypeMismatchError
 from .model import KnowsRecord
 
 
@@ -95,6 +95,9 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
         # PyYAML's constructors raise these for an explicitly tagged scalar
         # that its tag cannot read, such as ``!!int abc`` or ``!!bool x``.
         raise RecordSyntaxError(f"invalid YAML: bad tagged scalar ({exc!r})") from exc
+    except RecursionError as exc:
+        # The pure loader recurses once per level of nesting.
+        raise RecordSyntaxError("invalid YAML: nested too deeply") from exc
     docs = [d for d in docs if d is not None]
     if len(docs) != 1:
         raise RecordSyntaxError(f"expected exactly one YAML document, got {len(docs)}")
@@ -281,9 +284,9 @@ def record_to_tree(record: KnowsRecord) -> dict[str, Any]:
 # raises on lone surrogates, escapes U+0085 differently, folds long
 # double-quoted lines at other columns, and picks the ``? key`` form for other
 # keys (it measures keys in bytes, the pure emitter in characters).  Deeply
-# nested trees stay on the pure path too, so one too deep for Python's
-# recursion limit fails there as it always did.  Trees outside the domain go
-# through the pure emitter, so every byte is the same.
+# nested trees stay on the pure path too; one too deep for Python's recursion
+# limit raises EmissionError there.  Trees outside the domain go through the
+# pure emitter, so every byte is the same.
 _C_DUMPER = getattr(yaml, "CSafeDumper", None)
 _C_UNSAFE_CHAR = re.compile("[\x85\ud800-\udfff\U00010000-\U0010ffff]").search
 _C_MAX_STR = 10_000  # even escaped (6 columns a character), far inside the width of 100000
@@ -328,15 +331,22 @@ def _in_c_domain(tree: Any) -> bool:
 
 
 def emit_record(record: KnowsRecord) -> bytes:
-    """Serialize a record canonically; two emissions are byte-identical."""
+    """Serialize a record canonically; two emissions are byte-identical.
+
+    Raises :class:`EmissionError` for a value nested too deeply for the pure
+    emitter, which recurses once per level.
+    """
     tree = record_to_tree(record)
     dumper = _C_DUMPER if _C_DUMPER is not None and _in_c_domain(tree) else yaml.SafeDumper
-    text = yaml.dump(
-        tree,
-        Dumper=dumper,
-        sort_keys=False,
-        allow_unicode=True,
-        default_flow_style=False,
-        width=100000,
-    )
+    try:
+        text = yaml.dump(
+            tree,
+            Dumper=dumper,
+            sort_keys=False,
+            allow_unicode=True,
+            default_flow_style=False,
+            width=100000,
+        )
+    except RecursionError as exc:
+        raise EmissionError("cannot emit record: a value is nested too deeply") from exc
     return text.encode("utf-8")

@@ -35,6 +35,17 @@ from knows_sidecar.model import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# The moore fixture with an extension value 3,000 lists deep, deeper than
+# Python's recursion limit.
+DEEP_DOC = (
+    (FIXTURES / "moore.knows.yaml").read_text()
+    + "extensions:\n  x_deep: "
+    + "[" * 3000
+    + "x"
+    + "]" * 3000
+    + "\n"
+)
+
 _WORDS = (
     "ablation anchor audit batch cache census cohort corpus decay delta "
     "domain echo fidelity filter gauge grid harness index ledger lattice "

@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from helpers import FIXTURES, make_record
+from helpers import DEEP_DOC, FIXTURES, make_record
 from knows_sidecar import cli
 from knows_sidecar.serialization import emit_record
 
@@ -169,6 +169,28 @@ class TestGraph:
     def test_unknown_seed_exit_one(self):
         assert run("graph", fx("techreport.knows.yaml"), "--seed", "art:ghost") == 1
 
+    @pytest.mark.parametrize(
+        "present, expected",
+        [
+            (("v1", "v2", "v3"), ["v3", "v2", "v1"]),
+            (("v2", "v3"), ["v3", "v2", "# chain incomplete: earliest predecessor not in registry"]),
+        ],
+    )
+    def test_chain(self, tmp_path, capsys, monkeypatch, present, expected):
+        replaces = {"v1": None, "v2": "v1", "v3": "v2"}
+        paths = []
+        for i, rid in enumerate(present):
+            path = tmp_path / f"{rid}.knows.yaml"
+            path.write_bytes(emit_record(make_record(i, record_id=rid, replaces=replaces[rid])))
+            paths.append(str(path))
+
+        def no_graph(records):
+            raise AssertionError("--chain reads no graph")
+
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        assert run("graph", *paths, "--chain", "v3") == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestProject:
     @pytest.mark.parametrize(
@@ -202,6 +224,15 @@ class TestProject:
         ordered = [counts[c] for c in ("full", "minus_relations", "minus_evidence", "statements_only")]
         assert ordered == sorted(ordered, reverse=True)
         assert "# savings_vs_full=" in err
+
+    @pytest.mark.parametrize("tokens", [(), ("--tokens",)])
+    def test_value_nested_too_deeply_is_io_error(self, tmp_path, capsys, tokens):
+        deep = tmp_path / "deep.knows.yaml"
+        deep.write_text(DEEP_DOC)
+        out = tmp_path / "p.knows.yaml"
+        assert run("project", str(deep), "--condition", "full", "--out", str(out), *tokens) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_condition_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

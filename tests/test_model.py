@@ -1,6 +1,11 @@
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import make_record
+from knows_sidecar import model
 from knows_sidecar.errors import MalformedError, UnknownPrefixError
 from knows_sidecar.model import (
     EntityId,
@@ -119,3 +124,28 @@ class TestTimestamp:
     def test_malformed(self, bad):
         with pytest.raises(MalformedError):
             parse_timestamp(bad)
+
+
+class TestEntityIndex:
+    def test_built_once_and_read_only(self):
+        record = make_record(4)
+        first = record.entity_index()
+        assert model._ENTITY_INDEX_ATTR in vars(record)
+        assert record.entity_index() == first
+        assert first["stmt:claim-0"] is record.statements[0]
+        with pytest.raises(TypeError):
+            first["stmt:claim-0"] = None
+
+    def test_memo_is_not_part_of_the_record(self):
+        record = make_record(4)
+        fresh = make_record(4)
+        record.entity_index()
+        assert record == fresh and repr(record) == repr(fresh)
+        assert copy.deepcopy(record).entity_index() == record.entity_index()
+
+    def test_replace_gets_a_fresh_index(self):
+        record = make_record(4)
+        assert "stmt:claim-1" in record.entity_index()
+        fewer = replace(record, statements=record.statements[:1])
+        assert "stmt:claim-1" not in fewer.entity_index()
+        assert "stmt:claim-1" in record.entity_index()

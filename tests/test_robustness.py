@@ -2,9 +2,10 @@
 
 A Hypothesis strategy mutates the fixture trees: it sets values to junk, adds
 keys and removes keys.  Each mutated document goes through ``load_record``,
-``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list`` and
-``token_report``.  ``lint`` never raises; every other stage raises only
-``KnowsError``.
+``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list``,
+``token_report``, a ``Registry`` with ``resolve`` of every entity ID, and
+``consume`` in ``only`` and ``fallback`` mode through one ``SidecarCache``.
+``lint`` never raises; every other stage raises only ``KnowsError``.
 
 The default profile runs a modest number of examples.  For a long run:
 
@@ -17,8 +18,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURES
+from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.errors import KnowsError
-from knows_sidecar.graph import build_graph, export_edge_list, trace
+from knows_sidecar.graph import Registry, build_graph, export_edge_list, resolve, trace
 from knows_sidecar.linter import lint
 from knows_sidecar.projection import token_report
 from knows_sidecar.serialization import emit_record, load_record
@@ -95,6 +97,27 @@ def _graph_stages(record):
         export_edge_list(trace(graph.nodes[0], graph, predicates={"cites"}, depth=2))
 
 
+PAGES = page_file_provider((FIXTURES / "moore_pages.txt").read_text())
+QUERY = Query("heat dissipation of components on a single chip")
+NOW = "2026-05-01T00:00:00Z"
+
+
+def _registry_stages(record):
+    registry = Registry([record])
+    for entity_id, _ in record.all_entity_ids():
+        try:
+            resolve(str(entity_id), record.record_id, registry)
+        except KnowsError:
+            pass
+    cache = SidecarCache()
+    consume(QUERY, record.record_id, mode="only", registry=registry, cache=cache, now=NOW)
+    # A tau no answer reaches, so fallback always reads the passages.
+    consume(
+        QUERY, record.record_id, mode="fallback", tau=2.0, registry=registry,
+        passage_source=PAGES, cache=cache, now=NOW,
+    )
+
+
 @settings(deadline=None)
 @given(mutated_documents())
 def test_stages_fail_only_with_knows_errors(doc):
@@ -103,7 +126,7 @@ def test_stages_fail_only_with_knows_errors(doc):
     except KnowsError:
         return
     lint(record)
-    for stage in (emit_record, _graph_stages, token_report):
+    for stage in (emit_record, _graph_stages, token_report, _registry_stages):
         try:
             stage(record)
         except KnowsError:

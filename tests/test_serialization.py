@@ -1,10 +1,14 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
-from helpers import FIXTURES, make_record
-from knows_sidecar.errors import RecordSyntaxError, TypeMismatchError
+from helpers import DEEP_DOC, FIXTURES, make_record
+from knows_sidecar import serialization
+from knows_sidecar.errors import EmissionError, RecordSyntaxError, TypeMismatchError
 from knows_sidecar.model import EntityId, SpecVersion
+from knows_sidecar.projection import token_report
 from knows_sidecar.serialization import (
     document_tree,
     emit_record,
@@ -128,6 +132,22 @@ class TestEmit:
         assert loaded.extensions == record.extensions
         for a, b in zip(record.statements, loaded.statements):
             assert b.x_extensions == a.x_extensions
+
+    def test_value_nested_too_deeply_is_an_emission_error(self):
+        deep = "x"
+        for _ in range(3000):
+            deep = [deep]
+        record = replace(make_record(3), extensions={"x_deep": deep})
+        with pytest.raises(EmissionError, match="nested too deeply"):
+            emit_record(record)
+        with pytest.raises(EmissionError):
+            token_report(record)
+
+    def test_pure_loader_rejects_a_document_nested_too_deeply(self, monkeypatch):
+        # libyaml loads it; emitting it is the EmissionError above.
+        monkeypatch.setattr(serialization, "_LOADER", yaml.SafeLoader)
+        with pytest.raises(RecordSyntaxError, match="nested too deeply"):
+            load_record(DEEP_DOC)
 
     def test_version_record_is_string(self):
         record, _ = load_record(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Protocol, Sequence, Union
 
-from .errors import ProviderFailureError
+from .errors import MalformedError, ProviderFailureError
 from .linter import lint
 from .model import (
     Evidence,
@@ -195,11 +195,20 @@ def detect_hedging(
 # Freshness-aware cache
 
 
+def _instant(text: str) -> datetime:
+    """Parse a timestamp, reading one without an offset as UTC."""
+    moment = parse_timestamp(text)
+    return moment if moment.tzinfo is not None else moment.replace(tzinfo=timezone.utc)
+
+
+# The deadline of an entry whose ``stale_after`` does not parse: stale at once.
+_ALREADY_STALE = datetime.min.replace(tzinfo=timezone.utc)
+
+
 @dataclass(frozen=True)
 class CacheEntry:
-    key: tuple[str, str]
     record: KnowsRecord
-    stale_after: Optional[str] = None
+    stale_after: Optional[datetime] = None
 
 
 class SidecarCache:
@@ -213,16 +222,20 @@ class SidecarCache:
         version = record.version.record if record.version else ""
         key = (record.record_id, version)
         stale_after = record.freshness.stale_after if record.freshness else None
-        self._entries[key] = CacheEntry(key=key, record=record, stale_after=stale_after)
+        if stale_after is not None:
+            try:
+                stale_after = _instant(stale_after)
+            except MalformedError:
+                stale_after = _ALREADY_STALE
+        self._entries[key] = CacheEntry(record=record, stale_after=stale_after)
         self._latest[record.record_id] = key
 
     def get(self, key: tuple[str, str], now: str) -> Optional[KnowsRecord]:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        if entry.stale_after is not None:
-            if parse_timestamp(now) >= parse_timestamp(entry.stale_after):
-                return None
+        if entry.stale_after is not None and _instant(now) >= entry.stale_after:
+            return None
         return entry.record
 
     def get_latest(self, record_id: str, now: str) -> Optional[KnowsRecord]:
@@ -334,7 +347,6 @@ def consume(
     cache: Optional[SidecarCache] = None,
     now: Optional[str] = None,
     composer: ComposerPort = reference_composer,
-    hedging_phrases: Sequence[str] = DEFAULT_HEDGING_PHRASES,
 ) -> ComposedAnswer:
     """Answer a query from a sidecar, optionally falling back to passages.
 
@@ -379,7 +391,7 @@ def consume(
         reason="" if results else f"Sidecar does not discuss: {query.text}",
     )
 
-    confident = results and confidence >= tau and not detect_hedging(text, hedging_phrases)
+    confident = results and confidence >= tau and not detect_hedging(text)
     if mode == "only" or confident:
         return stage1
 
@@ -398,11 +410,7 @@ def consume(
         passages=tuple(passages),
         overridden=overridden,
     )
-    if not results and not passages:
-        return ComposedAnswer(
-            status="abstain", text="", confidence=0.0, trace=trace2, reason=stage1.reason
-        )
-    if confidence2 <= 0.0:
+    if (not results and not passages) or confidence2 <= 0.0:
         return ComposedAnswer(
             status="abstain", text="", confidence=0.0, trace=trace2, reason=stage1.reason
         )

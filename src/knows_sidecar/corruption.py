@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import NotApplicableError
 from .linter import lint
-from .model import Confidence, EntityId, KnowsRecord, Observation, Ref, Statement
+from .model import Confidence, EntityId, KnowsRecord, Observation, Statement, as_ref
 
 
 class InjectionKind(str, Enum):
@@ -31,11 +31,9 @@ _STRENGTH_UP = {"low": "medium", "medium": "high"}
 def _referenced_locals(record: KnowsRecord) -> set[str]:
     refs: set[str] = set()
     for rel in record.relations:
-        for endpoint in (rel.subject_ref, rel.object_ref):
-            if isinstance(endpoint, Ref) and not endpoint.is_remote:
-                refs.add(str(endpoint.entity))
-            elif isinstance(endpoint, EntityId):
-                refs.add(str(endpoint))
+        for ref in map(as_ref, (rel.subject_ref, rel.object_ref)):
+            if ref is not None and not ref.is_remote:
+                refs.add(str(ref.entity))
     return refs
 
 

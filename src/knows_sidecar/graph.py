@@ -13,7 +13,7 @@ from .errors import (
     UnknownEntityError,
     UnknownRecordError,
 )
-from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, parse_ref
+from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, as_ref, parse_ref
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,6 @@ class RelationGraph:
             _Positions(str(e.object) for e in self.edges),
         )
 
-    def node_set(self) -> set[str]:
-        return set(self._index[0].last)
-
 
 class Registry:
     """In-memory map of record_id to record; many readers, one writer."""
@@ -108,10 +105,7 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
     Local references resolve within ``home``; remote references first resolve
     their record_id in the registry.
     """
-    if isinstance(ref, str):
-        ref = parse_ref(ref)
-    if isinstance(ref, EntityId):
-        ref = Ref(ref)
+    ref = parse_ref(ref) if isinstance(ref, str) else as_ref(ref)
     record_id = ref.record_id if ref.is_remote else home
     record = registry.get(record_id)
     if record is None:
@@ -139,9 +133,9 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     nodes: dict[str, QualifiedId] = {}
     dangling: list[QualifiedId] = []
     for record in records:
-        for entity_id, _ in record.all_entity_ids():
-            if isinstance(entity_id, EntityId):
-                q = QualifiedId(record.record_id, entity_id)
+        for entity, _ in record.entities():
+            if isinstance(entity.id, EntityId):
+                q = QualifiedId(record.record_id, entity.id)
                 nodes.setdefault(str(q), q)
 
     edges: list[Edge] = []
@@ -150,10 +144,8 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     for record in records:
         for rel in record.relations:
             endpoints = []
-            for ref in (rel.subject_ref, rel.object_ref):
-                if isinstance(ref, EntityId):
-                    ref = Ref(ref)
-                if not isinstance(ref, Ref):
+            for ref in map(as_ref, (rel.subject_ref, rel.object_ref)):
+                if ref is None:
                     endpoints = None
                     break
                 rid = ref.record_id if ref.is_remote else record.record_id

@@ -12,13 +12,26 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from . import schema
-from .model import CLASS_PREFIX, ENTITY_CLASS, PREFIX_CLASS, EntityId, KnowsRecord, Ref
+from .model import (
+    CLASS_PREFIX,
+    ENTITY_CLASS,
+    PREFIX_CLASS,
+    REF_FIELDS,
+    Artifact,
+    EntityId,
+    KnowsRecord,
+    Representation,
+    as_ref,
+)
 from .serialization import document_tree
 
 UrlProbe = Callable[[str], int]
+
+# Probes K007 keeps in flight at once.
+_MAX_IN_FLIGHT = 8
 
 
 class LintCode(str, Enum):
@@ -72,88 +85,64 @@ def check_schema(tree: Any, record: KnowsRecord) -> list[LintFinding]:
 # Check 2: cross-reference integrity
 
 
-def _check_local_ref(
-    ref: Any,
-    path: str,
-    index: dict[str, Any],
-    allowed_classes: Optional[set[str]] = None,
-) -> list[LintFinding]:
-    """Resolve one reference field; remote refs are grammar-checked only."""
-    if not isinstance(ref, (Ref, EntityId)):
-        return [_err(LintCode.CROSSREF, path, f"unparseable reference {ref!r}")]
-    if isinstance(ref, Ref):
-        if ref.is_remote:
-            return []
-        entity_id = ref.entity
-    else:
-        entity_id = ref
-    if allowed_classes is not None and entity_id.entity_class not in allowed_classes:
-        return [
-            _err(
-                LintCode.CROSSREF,
-                path,
-                f"reference {entity_id} may only target {sorted(allowed_classes)}",
-            )
-        ]
-    target = index.get(str(entity_id))
-    if target is None:
-        return [_err(LintCode.CROSSREF, path, f"dangling reference {entity_id}")]
-    target_class = ENTITY_CLASS[type(target)]
-    if target_class != entity_id.entity_class:
-        return [
-            _err(
-                LintCode.CROSSREF,
-                path,
-                f"reference {entity_id} resolves to a {target_class}",
-            )
-        ]
-    return []
+def _check_refs(
+    owner: Any, base: str, index: Mapping[str, Any], findings: list[LintFinding]
+) -> None:
+    """Resolve the reference fields of ``owner``; remote refs are grammar-checked only."""
+    for name, targets in REF_FIELDS[type(owner)]:
+        value = getattr(owner, name)
+        ref = as_ref(value)
+        if ref is None:
+            message = f"unparseable reference {value!r}"
+        elif ref.is_remote:
+            continue
+        elif targets is not None and ref.entity.entity_class not in targets:
+            message = f"reference {ref.entity} may only target {sorted(targets)}"
+        else:
+            target = index.get(str(ref.entity))
+            if target is None:
+                message = f"dangling reference {ref.entity}"
+            elif ENTITY_CLASS[type(target)] != ref.entity.entity_class:
+                message = f"reference {ref.entity} resolves to a {ENTITY_CLASS[type(target)]}"
+            else:
+                continue
+        findings.append(_err(LintCode.CROSSREF, base + name, message))
 
 
 def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = None) -> list[LintFinding]:
     findings: list[LintFinding] = []
     index = record.entity_index()
-    local_reps = {str(r.id) for a in record.artifacts for r in a.representations}
+    entities = record.entities()
+    local_reps = {str(e.id) for e, _ in entities if type(e) is Representation}
 
-    findings.extend(_check_local_ref(record.subject_ref, "subject_ref", index, {"artifact"}))
+    _check_refs(record, "", index, findings)
     subject = record.subject_artifact()
     if subject is not None and subject.role != "subject":
         findings.append(
             _err(LintCode.CROSSREF, "subject_ref", f"{record.subject_ref} does not have role=subject")
         )
-    for i, art in enumerate(record.artifacts):
-        if art.role == "subject" and str(art.id) != str(record.subject_ref):
+    for entity, path in entities:
+        _check_refs(entity, path + "/", index, findings)
+        if (
+            type(entity) is Artifact
+            and entity.role == "subject"
+            and str(entity.id) != str(record.subject_ref)
+        ):
             findings.append(
                 _err(
                     LintCode.CROSSREF,
-                    f"artifacts/{i}",
-                    f"extra subject artifact {art.id}; subject_ref names {record.subject_ref}",
+                    path,
+                    f"extra subject artifact {entity.id}; subject_ref names {record.subject_ref}",
                 )
             )
-
-    def check_anchors(anchors, base: str) -> None:
-        for j, anchor in enumerate(anchors):
-            path = f"{base}/source_anchors/{j}/representation_ref"
+        # Source anchors name representations of this record only.
+        for j, anchor in enumerate(getattr(entity, "source_anchors", ())):
+            anchor_path = f"{path}/source_anchors/{j}/representation_ref"
             ref = anchor.representation_ref
             if not isinstance(ref, EntityId):
-                findings.append(_err(LintCode.CROSSREF, path, f"unparseable reference {ref!r}"))
+                findings.append(_err(LintCode.CROSSREF, anchor_path, f"unparseable reference {ref!r}"))
             elif str(ref) not in local_reps:
-                findings.append(_err(LintCode.CROSSREF, path, f"dangling reference {ref}"))
-
-    for i, stmt in enumerate(record.statements):
-        findings.extend(
-            _check_local_ref(
-                stmt.about_ref, f"statements/{i}/about_ref", index, {"artifact", "statement"}
-            )
-        )
-        check_anchors(stmt.source_anchors, f"statements/{i}")
-    for i, ev in enumerate(record.evidence):
-        check_anchors(ev.source_anchors, f"evidence/{i}")
-    for i, rel in enumerate(record.relations):
-        findings.extend(_check_local_ref(rel.subject_ref, f"relations/{i}/subject_ref", index))
-        findings.extend(_check_local_ref(rel.object_ref, f"relations/{i}/object_ref", index))
-    for i, act in enumerate(record.actions):
-        findings.extend(_check_local_ref(act.target_ref, f"actions/{i}/target_ref", index))
+                findings.append(_err(LintCode.CROSSREF, anchor_path, f"dangling reference {ref}"))
 
     if registry is not None and record.replaces is not None and record.replaces not in registry:
         findings.append(
@@ -169,8 +158,8 @@ def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = No
 def check_id_uniqueness(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     seen: dict[str, str] = {}
-    for entity_id, path in record.all_entity_ids():
-        rendered = str(entity_id)
+    for entity, path in record.entities():
+        rendered = str(entity.id)
         if rendered in seen:
             findings.append(
                 _err(
@@ -190,38 +179,17 @@ def check_id_uniqueness(record: KnowsRecord) -> list[LintFinding]:
 
 def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
-    collections = [
-        ("artifacts", record.artifacts, "artifact"),
-        ("statements", record.statements, "statement"),
-        ("evidence", record.evidence, "evidence"),
-        ("relations", record.relations, "relation"),
-        ("actions", record.actions, "action"),
-    ]
-    for name, entities, cls in collections:
-        for i, entity in enumerate(entities):
-            _check_prefix(entity.id, f"{name}/{i}/id", cls, findings)
-            if cls == "artifact":
-                for j, rep in enumerate(entity.representations):
-                    _check_prefix(
-                        rep.id, f"{name}/{i}/representations/{j}/id", "representation", findings
-                    )
+    for entity, path in record.entities():
+        cls = ENTITY_CLASS[type(entity)]
+        expected = CLASS_PREFIX[cls]
+        if not isinstance(entity.id, EntityId):
+            message = f"unparseable entity id {entity.id!r}"
+        elif entity.id.prefix != expected:
+            message = f"{cls} id must use prefix '{expected}:', got {entity.id}"
+        else:
+            continue
+        findings.append(_err(LintCode.ID_PREFIX, f"{path}/id", message))
     return findings
-
-
-def _check_prefix(entity_id: Any, path: str, cls: str, findings: list[LintFinding]) -> None:
-    expected = CLASS_PREFIX[cls]
-    if not isinstance(entity_id, EntityId):
-        findings.append(
-            _err(LintCode.ID_PREFIX, path, f"unparseable entity id {entity_id!r}")
-        )
-    elif entity_id.prefix != expected:
-        findings.append(
-            _err(
-                LintCode.ID_PREFIX,
-                path,
-                f"{cls} id must use prefix '{expected}:', got {entity_id}",
-            )
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +213,6 @@ PREDICATE_MATRIX: dict[str, frozenset[tuple[str, str]]] = {
 }
 
 
-def _declared_prefix(ref: Any) -> Optional[str]:
-    if isinstance(ref, Ref):
-        return ref.entity.prefix
-    if isinstance(ref, EntityId):
-        return ref.prefix
-    return None
-
-
 def check_predicates(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     for i, rel in enumerate(record.relations):
@@ -270,16 +230,16 @@ def check_predicates(record: KnowsRecord) -> list[LintFinding]:
         allowed = PREDICATE_MATRIX.get(rel.predicate)
         if allowed is None:
             continue  # out-of-vocabulary predicate is K001's finding
-        subject = _declared_prefix(rel.subject_ref)
-        obj = _declared_prefix(rel.object_ref)
+        subject, obj = as_ref(rel.subject_ref), as_ref(rel.object_ref)
         if subject is None or obj is None:
             continue  # unparseable endpoints are K002's findings
-        if (subject, obj) not in allowed:
+        pair = (subject.entity.prefix, obj.entity.prefix)
+        if pair not in allowed:
             findings.append(
                 _err(
                     LintCode.PREDICATE,
                     path,
-                    f"predicate '{rel.predicate}' does not admit ({subject} -> {obj})",
+                    f"predicate '{rel.predicate}' does not admit ({pair[0]} -> {pair[1]})",
                 )
             )
     return findings
@@ -335,7 +295,6 @@ def check_url_liveness(
     fetcher: UrlProbe,
     *,
     as_errors: bool = False,
-    max_in_flight: int = 8,
 ) -> list[LintFinding]:
     """Probe every url-type locator and identifiers.url; failures become K007."""
     targets = _record_urls(record)
@@ -348,7 +307,7 @@ def check_url_liveness(
             return None
 
     if targets:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        with ThreadPoolExecutor(max_workers=_MAX_IN_FLIGHT) as pool:
             statuses = list(pool.map(probe, (url for _, url in targets)))
         for (path, url), status in zip(targets, statuses):
             if status is None or not (200 <= status < 400):

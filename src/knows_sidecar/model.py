@@ -12,6 +12,8 @@ of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
   JSON Schema keywords on the field's value;
 * ``exactly_one_of``: two keys of which each item must hold exactly one;
 * ``key``: the YAML key, where it is not the attribute name;
+* ``targets``: on a reference field, the entity classes it may name locally,
+  a frozenset (absent: any class);
 * ``missing``: the value loaded when the key is absent;
 * ``load`` / ``emit``: a converter applied to a non-None value at load or at
   emission, in place of the one the type hint selects; ``raw``: keep the
@@ -19,6 +21,8 @@ of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
 
 :mod:`knows_sidecar.serialization` compiles its loaders and emitters from
 this table and :mod:`knows_sidecar.schema` builds ``RECORD_SCHEMA`` from it.
+``ENTITY_LISTS`` and ``REF_FIELDS`` read from it which fields hold entities
+and which name one; the linter and the graph walk records through them.
 Enumerated fields are stored as plain strings so that a record loaded from
 disk can carry out-of-vocabulary values for the linter to report.
 """
@@ -286,7 +290,7 @@ class Statement:
         "claim", "assumption", "limitation", "method", "question", "definition"
     )
     text: str = _meta(minLength=1)
-    about_ref: Ref = _meta(minLength=1)
+    about_ref: Ref = _meta(minLength=1, targets=frozenset({"artifact", "statement"}))
     status: str = _vocab("asserted", "retracted", "superseded", "under_review")
     modality: Optional[str] = _vocab(
         "empirical", "theoretical", "descriptive", "normative", default=None
@@ -419,8 +423,8 @@ class ExternalMetadataRef:
     locator: str = _meta(minLength=1)
 
 
-# Where a record keeps its entity index once built; not a field, so equality,
-# repr and ``dataclasses.replace`` do not see it.
+# Where a record keeps its entities and their index once walked; not a field,
+# so equality, repr and ``dataclasses.replace`` do not see it.
 _ENTITY_INDEX_ATTR = "_knows_entity_index"
 
 
@@ -437,7 +441,7 @@ class KnowsRecord:
     knows_version: SpecVersion = _meta(pattern=_SEMVER_PATTERN)
     record_id: str = _meta(minLength=1, pattern=r"^[^#]+$")
     profile: Profile = _meta(pattern=_PROFILE_PATTERN)
-    subject_ref: EntityId = _meta(minLength=1)
+    subject_ref: EntityId = _meta(minLength=1, targets=frozenset({"artifact"}))
     title: str = _meta(minLength=1)
     summary: str = _meta(minLength=1)
     authors: tuple[Author, ...] = _meta(minItems=1)
@@ -461,42 +465,38 @@ class KnowsRecord:
     external_metadata_refs: tuple[ExternalMetadataRef, ...] = ()
     extensions: Optional[dict[str, Any]] = None
 
+    def _walk(self) -> tuple[tuple[tuple[Any, str], ...], dict[str, Any]]:
+        """Entities with their paths, and the index over them: built once and shared."""
+        memo = getattr(self, _ENTITY_INDEX_ATTR, None)
+        if memo is None:
+            pairs: list[tuple[Any, str]] = []
+            index: dict[str, Any] = {}
+
+            def visit(owner: Any, base: str) -> None:
+                for name in ENTITY_LISTS[type(owner)]:
+                    for i, entity in enumerate(getattr(owner, name)):
+                        path = f"{base}{name}/{i}"
+                        pairs.append((entity, path))
+                        index.setdefault(str(entity.id), entity)
+                        if ENTITY_LISTS[type(entity)]:
+                            visit(entity, path + "/")
+
+            visit(self, "")
+            memo = (tuple(pairs), index)
+            object.__setattr__(self, _ENTITY_INDEX_ATTR, memo)
+        return memo
+
+    def entities(self) -> tuple[tuple[Any, str], ...]:
+        """Every entity with its path, in document order."""
+        return self._walk()[0]
+
     def all_entity_ids(self) -> list[tuple[EntityId, str]]:
         """Every entity ID in the record with the path of its owner."""
-        out: list[tuple[EntityId, str]] = []
-        for i, art in enumerate(self.artifacts):
-            out.append((art.id, f"artifacts/{i}"))
-            for j, rep in enumerate(art.representations):
-                out.append((rep.id, f"artifacts/{i}/representations/{j}"))
-        for i, stmt in enumerate(self.statements):
-            out.append((stmt.id, f"statements/{i}"))
-        for i, ev in enumerate(self.evidence):
-            out.append((ev.id, f"evidence/{i}"))
-        for i, rel in enumerate(self.relations):
-            out.append((rel.id, f"relations/{i}"))
-        for i, act in enumerate(self.actions):
-            out.append((act.id, f"actions/{i}"))
-        return out
+        return [(entity.id, path) for entity, path in self._walk()[0]]
 
     def entity_index(self) -> Mapping[str, Any]:
-        """Rendered entity ID -> entity, first occurrence wins.
-
-        Built once per record, which is frozen, and shared: hence read-only.
-        """
-        index = getattr(self, _ENTITY_INDEX_ATTR, None)
-        if index is None:
-            index = {}
-            entities: list[Any] = list(self.artifacts)
-            for art in self.artifacts:
-                entities.extend(art.representations)
-            entities.extend(self.statements)
-            entities.extend(self.evidence)
-            entities.extend(self.relations)
-            entities.extend(self.actions)
-            for entity in entities:
-                index.setdefault(str(entity.id), entity)
-            object.__setattr__(self, _ENTITY_INDEX_ATTR, index)
-        return MappingProxyType(index)
+        """Rendered entity ID -> entity, first in document order wins; read-only."""
+        return MappingProxyType(self._walk()[1])
 
     def subject_artifact(self) -> Optional[Artifact]:
         for art in self.artifacts:
@@ -537,6 +537,31 @@ def slots(cls: type) -> tuple[Slot, ...]:
         key = f.metadata.get("key", f.name)
         out.append(Slot(f.name, key, required, get_origin(hint) or hint, many, f.metadata))
     return tuple(out)
+
+
+# Per entity-owning class: the fields holding lists of entities, and the
+# reference fields other than ``id`` as (name, targets or None).
+_OWNERS = (KnowsRecord, *ENTITY_CLASS)
+ENTITY_LISTS = {
+    cls: tuple(s.name for s in slots(cls) if s.many and s.kind in ENTITY_CLASS) for cls in _OWNERS
+}
+REF_FIELDS = {
+    cls: tuple(
+        (s.name, s.meta.get("targets"))
+        for s in slots(cls)
+        if s.kind in (Ref, EntityId) and s.name != "id"
+    )
+    for cls in _OWNERS
+}
+
+
+def as_ref(value: Any) -> Optional[Ref]:
+    """A parsed reference or entity ID as a :class:`Ref`; None for anything else."""
+    if isinstance(value, Ref):
+        return value
+    if isinstance(value, EntityId):
+        return Ref(value)
+    return None
 
 
 def parse_timestamp(text: str) -> datetime:

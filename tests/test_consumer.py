@@ -134,6 +134,45 @@ class TestCache:
         assert cache.get_latest(r1.record_id, "2026-06-01T00:00:00Z") is r2
 
 
+    @pytest.mark.parametrize("stale_after", ["soon", "2027-01-01T00:00:00"])
+    def test_warm_cache_answers_as_cold(self, stale_after):
+        # "soon" fails lint; a deadline without an offset passes it and reads as UTC.
+        text = (FIXTURES / "moore.knows.yaml").read_text()
+        policy = "  update_policy: frozen\n"
+        text = text.replace(policy, f"{policy}  stale_after: '{stale_after}'\n")
+        record, _ = load_record(text)
+        assert record.freshness.stale_after == stale_after
+        registry, cache = Registry([record]), SidecarCache()
+        answers = [
+            consume(
+                Query(MOORE_QUESTION),
+                record.record_id,
+                registry=registry,
+                cache=cache,
+                now="2026-06-01T00:00:00Z",
+            )
+            for _ in range(2)
+        ]
+        assert answers[0] == answers[1]
+        assert len(cache) == 1
+
+    def test_unparseable_deadline_is_stale_at_once(self):
+        record = make_record(30)
+        record = replace(record, freshness=replace(record.freshness, stale_after="soon"))
+        cache = SidecarCache()
+        cache.put(record)
+        assert cache.get_latest(record.record_id, "2000-01-01T00:00:00Z") is None
+
+    def test_deadline_without_offset_reads_as_utc(self):
+        record = make_record(30)
+        freshness = replace(record.freshness, stale_after="2026-06-01T00:00:00")
+        record = replace(record, freshness=freshness)
+        cache = SidecarCache()
+        cache.put(record)
+        assert cache.get_latest(record.record_id, "2026-06-01T01:59:59+02:00") is record
+        assert cache.get_latest(record.record_id, "2026-06-01T00:00:00") is None
+
+
 class TestConsume:
     def setup_method(self):
         self.bloom = fixture_record("bloom.knows.yaml")

@@ -9,9 +9,11 @@ from knows_sidecar import model
 from knows_sidecar.errors import MalformedError, UnknownPrefixError
 from knows_sidecar.model import (
     EntityId,
+    KnowsRecord,
     Profile,
     Ref,
     SpecVersion,
+    as_ref,
     parse_entity_id,
     parse_profile,
     parse_ref,
@@ -149,3 +151,40 @@ class TestEntityIndex:
         fewer = replace(record, statements=record.statements[:1])
         assert "stmt:claim-1" not in fewer.entity_index()
         assert "stmt:claim-1" in record.entity_index()
+
+
+class TestEntityLayout:
+    def test_reference_fields_and_targets_come_from_the_table(self):
+        assert {cls.__name__: refs for cls, refs in model.REF_FIELDS.items() if refs} == {
+            "KnowsRecord": (("subject_ref", frozenset({"artifact"})),),
+            "Statement": (("about_ref", frozenset({"artifact", "statement"})),),
+            "Relation": (("subject_ref", None), ("object_ref", None)),
+            "Action": (("target_ref", None),),
+        }
+
+    def test_entity_lists_come_from_the_table(self):
+        assert {cls.__name__: names for cls, names in model.ENTITY_LISTS.items() if names} == {
+            "KnowsRecord": ("artifacts", "statements", "evidence", "relations", "actions"),
+            "Artifact": ("representations",),
+        }
+        assert set(model.ENTITY_LISTS) == {KnowsRecord, *model.ENTITY_CLASS}
+
+    def test_entities_in_document_order(self):
+        record = make_record(4)
+        expected = []
+        for i, art in enumerate(record.artifacts):
+            expected.append((art, f"artifacts/{i}"))
+            for j, rep in enumerate(art.representations):
+                expected.append((rep, f"artifacts/{i}/representations/{j}"))
+        for name in ("statements", "evidence", "relations", "actions"):
+            expected += [(e, f"{name}/{i}") for i, e in enumerate(getattr(record, name))]
+        assert any("representations" in path for _, path in expected)
+        assert list(record.entities()) == expected
+        assert record.all_entity_ids() == [(e.id, path) for e, path in expected]
+
+    def test_as_ref(self):
+        local = EntityId("stmt", "x")
+        remote = Ref(local, record_id="rec")
+        assert as_ref(local) == Ref(local)
+        assert as_ref(remote) is remote
+        assert as_ref("stmt:x") is None and as_ref(None) is None

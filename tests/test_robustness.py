@@ -4,8 +4,9 @@ A Hypothesis strategy mutates the fixture trees: it sets values to junk, adds
 keys and removes keys.  Each mutated document goes through ``load_record``,
 ``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list``,
 ``token_report``, a ``Registry`` with ``resolve`` of every entity ID, and
-``consume`` in ``only`` and ``fallback`` mode through one ``SidecarCache``.
-``lint`` never raises; every other stage raises only ``KnowsError``.
+``consume`` in ``only`` mode (twice) and ``fallback`` mode through one
+``SidecarCache``.  ``lint`` never raises; every other stage raises only
+``KnowsError``, and the second ``only`` answer equals the first.
 
 The default profile runs a modest number of examples.  For a long run:
 
@@ -110,7 +111,13 @@ def _registry_stages(record):
         except KnowsError:
             pass
     cache = SidecarCache()
-    consume(QUERY, record.record_id, mode="only", registry=registry, cache=cache, now=NOW)
+    answer = consume(QUERY, record.record_id, mode="only", registry=registry, cache=cache, now=NOW)
+    # The same query through the now warm cache answers the same, without raising.
+    try:
+        again = consume(QUERY, record.record_id, mode="only", registry=registry, cache=cache, now=NOW)
+    except KnowsError as exc:
+        raise AssertionError(f"warm cache raised {exc!r}") from exc
+    assert again == answer
     # A tau no answer reaches, so fallback always reads the passages.
     consume(
         QUERY, record.record_id, mode="fallback", tau=2.0, registry=registry,

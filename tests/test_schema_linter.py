@@ -2,9 +2,11 @@ import copy
 
 import jsonschema
 import pytest
+import yaml
 
 from helpers import FIXTURES, make_record
 from knows_sidecar import schema
+from knows_sidecar.graph import Registry, resolve
 from knows_sidecar.linter import (
     LintCode,
     check_url_liveness,
@@ -214,6 +216,16 @@ def test_anchor_must_point_at_local_representation():
     )
 
 
+def test_anchor_naming_another_class_is_dangling():
+    # Anchors are checked against the local representations, not by target class.
+    tree = yaml.safe_load((FIXTURES / "bloom.knows.yaml").read_bytes())
+    tree["statements"][0]["source_anchors"][0]["representation_ref"] = "ev:e0"
+    record, _ = load_record(yaml.safe_dump(tree, sort_keys=False))
+    assert [(f.path, f.message) for f in findings_with(lint(record), LintCode.CROSSREF)] == [
+        ("statements/0/source_anchors/0/representation_ref", "dangling reference ev:e0")
+    ]
+
+
 def test_replaces_warning_needs_registry():
     record = make_record(9, replaces="10.9999/gone")
     assert lint(record).passed
@@ -238,6 +250,24 @@ def test_duplicate_id_reported_once_with_first_path():
     assert len(dups) == 1
     assert "artifacts/0" in dups[0].message
     assert dups[0].path == "evidence/0"
+
+
+def test_first_declaration_wins_in_lint_index_and_resolve():
+    # A top-level artifact reuses the ID of an earlier artifact's representation.
+    tree = yaml.safe_load((FIXTURES / "techreport.knows.yaml").read_bytes())
+    tree["artifacts"][1]["id"] = "rep:paper-pdf"
+    record, _ = load_record(yaml.safe_dump(tree, sort_keys=False))
+    dups = findings_with(lint(record), LintCode.ID_UNIQUE)
+    assert [(f.path, f.message) for f in dups] == [
+        (
+            "artifacts/1",
+            "duplicate entity id rep:paper-pdf (first declared at artifacts/0/representations/0)",
+        )
+    ]
+    first = record.artifacts[0].representations[0]
+    assert record.entity_index()["rep:paper-pdf"] is first
+    _, entity = resolve("rep:paper-pdf", record.record_id, Registry([record]))
+    assert entity is first
 
 
 def test_wrong_prefix_is_k004():

@@ -237,7 +237,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             context_text = Path(args.context).read_text(encoding="utf-8")
         except OSError as exc:
             raise _IoFailure(str(exc))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise _IoFailure(f"cannot parse {args.matched}: {exc}")
         if not isinstance(raw_items, list):
             raw_items = [raw_items]

@@ -326,8 +326,10 @@ def _overridden_entities(
         values = [obs.value for obs in entity.observations if obs.value is not None]
         if not values:
             continue
+        # A float has an integer spelling only when finite and integral.
         echoed = any(
-            str(v) in passage_numbers or str(int(v)) in passage_numbers
+            str(v) in passage_numbers
+            or (not isinstance(v, float) or v.is_integer()) and str(int(v)) in passage_numbers
             for v in values
             if isinstance(v, (int, float))
         )

@@ -15,6 +15,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from . import schema
 from .errors import EmptyInputError
 
 STATUS_VALUES = frozenset({"answer", "partial", "abstain", "not_found"})
@@ -28,89 +29,46 @@ QUOTE_VERBATIM_THRESHOLD = 0.80
 
 @dataclass(frozen=True)
 class MatchedEvidence:
-    source: str
-    page: int
+    source: str = field(metadata={"enum": SOURCE_VALUES})
+    page: int = field(metadata={"minimum": 0})
     quote: str
-    support: str
+    support: str = field(metadata={"enum": SUPPORT_VALUES})
 
 
 @dataclass(frozen=True)
 class MatchedOutput:
-    item_id: str
-    status: str
-    confidence: float
+    item_id: str = field(metadata={"minLength": 1})
+    status: str = field(metadata={"enum": STATUS_VALUES})
+    confidence: float = field(metadata={"minimum": 0, "maximum": 1})
     answer: str
     evidence: tuple[MatchedEvidence, ...]
     reason: str
 
 
+# The answer shape as JSON Schema, derived from the field table above.
+ANSWER_SCHEMA = schema.object_schema(MatchedOutput)
+_validate_answer = schema.validator(ANSWER_SCHEMA)
+
+
 def parse_matched_output(raw: Union[str, bytes, Mapping[str, Any]]) -> MatchedOutput:
     """Parse and structurally validate one answer object.
 
-    Raises ``ValueError`` on malformed JSON, missing or extra fields, and
-    out-of-range or out-of-vocabulary values.
+    Raises ``ValueError`` on malformed or too deeply nested JSON, missing or
+    extra fields, and out-of-range or out-of-vocabulary values.
     """
     if isinstance(raw, (str, bytes)):
-        obj = json.loads(raw)
+        try:
+            obj = json.loads(raw)
+        except RecursionError:
+            raise ValueError("answer object nested too deeply") from None
     else:
-        obj = dict(raw)
-    if not isinstance(obj, dict):
-        raise ValueError("answer object must be a JSON object")
-    required = {"item_id", "status", "confidence", "answer", "evidence", "reason"}
-    missing = required - obj.keys()
-    extra = obj.keys() - required
-    if missing:
-        raise ValueError(f"missing fields: {sorted(missing)}")
-    if extra:
-        raise ValueError(f"unexpected fields: {sorted(extra)}")
-    if not isinstance(obj["item_id"], str) or not obj["item_id"]:
-        raise ValueError("item_id must be a non-empty string")
-    if obj["status"] not in STATUS_VALUES:
-        raise ValueError(f"bad status {obj['status']!r}")
-    confidence = obj["confidence"]
-    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-        raise ValueError("confidence must be a number")
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError("confidence must be within [0, 1]")
-    if not isinstance(obj["answer"], str):
-        raise ValueError("answer must be a string")
-    if not isinstance(obj["reason"], str):
-        raise ValueError("reason must be a string")
-    if not isinstance(obj["evidence"], list):
-        raise ValueError("evidence must be a list")
-    items = []
-    for entry in obj["evidence"]:
-        if not isinstance(entry, dict):
-            raise ValueError("evidence entries must be objects")
-        entry_keys = {"source", "page", "quote", "support"}
-        if entry.keys() != entry_keys:
-            raise ValueError(f"evidence entry keys must be {sorted(entry_keys)}")
-        if entry["source"] not in SOURCE_VALUES:
-            raise ValueError(f"bad evidence source {entry['source']!r}")
-        if isinstance(entry["page"], bool) or not isinstance(entry["page"], int):
-            raise ValueError("evidence page must be an integer")
-        if entry["page"] < 0:
-            raise ValueError("evidence page must be non-negative")
-        if not isinstance(entry["quote"], str):
-            raise ValueError("evidence quote must be a string")
-        if entry["support"] not in SUPPORT_VALUES:
-            raise ValueError(f"bad evidence support {entry['support']!r}")
-        items.append(
-            MatchedEvidence(
-                source=entry["source"],
-                page=entry["page"],
-                quote=entry["quote"],
-                support=entry["support"],
-            )
-        )
-    return MatchedOutput(
-        item_id=obj["item_id"],
-        status=obj["status"],
-        confidence=float(confidence),
-        answer=obj["answer"],
-        evidence=tuple(items),
-        reason=obj["reason"],
-    )
+        obj = dict(raw) if isinstance(raw, Mapping) else raw
+    problems = _validate_answer(obj)
+    if problems:
+        path, message = problems[0]
+        raise ValueError(f"{path}: {message}" if path else message)
+    evidence = tuple(MatchedEvidence(**entry) for entry in obj["evidence"])
+    return MatchedOutput(**{**obj, "confidence": float(obj["confidence"]), "evidence": evidence})
 
 
 _WS_RE = re.compile(r"\s+")

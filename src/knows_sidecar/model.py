@@ -8,8 +8,8 @@ from the type hints: a dataclass is a nested object, ``tuple[X, ...]`` a list
 of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
 
 * ``enum``: the closed vocabulary, a frozenset;
-* ``minLength``, ``pattern``, ``format``, ``minItems``, ``minProperties``:
-  JSON Schema keywords on the field's value;
+* ``minLength``, ``pattern``, ``format``, ``minimum``, ``maximum`` (inclusive;
+  NaN fails them), ``minItems``, ``minProperties``: JSON Schema keywords;
 * ``exactly_one_of``: two keys of which each item must hold exactly one;
 * ``key``: the YAML key, where it is not the attribute name;
 * ``targets``: on a reference field, the entity classes it may name locally,
@@ -177,7 +177,7 @@ def parse_profile(text: str) -> Profile:
     name, _, major_text = text.rpartition("@")
     if not name:
         raise MalformedError(f"empty profile name: {text!r}")
-    if not major_text.isdigit() or int(major_text) < 1:
+    if not major_text.isdecimal() or int(major_text) < 1:
         raise MalformedError(f"profile major must be a positive integer: {text!r}")
     return Profile(name, int(major_text))
 

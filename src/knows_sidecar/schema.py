@@ -1,17 +1,17 @@
-"""Structural schema for KnowsRecord v0.9 documents.
+"""Structural schemas built from model field tables, and their validators.
 
 ``RECORD_SCHEMA`` is the JSON Schema the ``$schema`` root key points at,
 expressed as a plain dict so tests can cross-check it with an off-the-shelf
-validator.  It is built once, at import, from the field table of the model
-dataclasses.  :func:`validate_tree` is an independent evaluator for the schema
-subset used here; the linter's check 1 is built on it so its verdict stays
-equivalent to validating the raw tree against the schema.
+validator; it and :func:`object_schema` are built from dataclass field tables.
+:func:`validator` compiles a schema once, into one closure per schema node.
+:func:`validate_tree` is the compiled ``RECORD_SCHEMA``; the linter's check 1
+is built on it, so its verdict is that of validating the tree by the schema.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from . import model
 from .model import is_timestamp
@@ -32,7 +32,7 @@ def _value_schema(kind: Any, meta: Any) -> dict[str, Any]:
     if kind not in _JSON_TYPES:
         return _object_schema(kind, meta)
     schema = {"type": _JSON_TYPES[kind]}
-    for keyword in ("minLength", "pattern", "format"):
+    for keyword in ("minLength", "pattern", "format", "minimum", "maximum"):
         if keyword in meta:
             schema[keyword] = meta[keyword]
     return schema
@@ -68,84 +68,123 @@ def _object_schema(cls: type, meta: Any) -> dict[str, Any]:
     return schema
 
 
-RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **_object_schema(model.KnowsRecord, {})}
+def object_schema(cls: type) -> dict[str, Any]:
+    """The JSON Schema of a dataclass written in the field table's terms."""
+    return _object_schema(cls, {})
+
+
+RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **object_schema(model.KnowsRecord)}
 
 
 # ---------------------------------------------------------------------------
-# Evaluator for the schema subset above
+# Compiler for the schema subset above: each node compiles once into
+# ``check(value, path, problems)``, appending (path, message) pairs.  ``path``
+# is a (key, parent) chain, None at the root, rendered only for a problem.  A
+# value of the wrong type or outside the enumeration gets no further checks.
 
+_Check = Callable[[Any, Any, list], None]
 
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
+_CLASSES = dict(string=str, integer=int, number=(int, float), boolean=bool, array=list, object=dict)
+
+# Keyword -> its value -> (test on a value of the node's type, message); NaN fails both bounds.
+_TESTS = {
+    "minLength": lambda n: (lambda v: len(v) >= n, "string must be non-empty"),
+    "pattern": lambda p: (re.compile(p).search, f"string does not match {p}"),
+    "format": lambda _: (is_timestamp, "not a valid RFC 3339 timestamp"),  # date-time
+    "minimum": lambda m: (lambda v: v >= m, f"number must be >= {m}"),
+    "maximum": lambda m: (lambda v: v <= m, f"number must be <= {m}"),
+    "minItems": lambda n: (lambda v: len(v) >= n, "at least one item required"),
+    "minProperties": lambda n: (lambda v: len(v) >= n, "at least one field required"),
 }
 
 
-def _evaluate(value: Any, schema: dict[str, Any], path: str) -> list[tuple[str, str]]:
-    problems: list[tuple[str, str]] = []
-
+def _compile(schema: Mapping[str, Any]) -> _Check:
     expected = schema.get("type")
-    if expected is not None and not _TYPE_CHECKS[expected](value):
-        problems.append((path, f"expected {expected}"))
-        return problems
+    classes = _CLASSES.get(expected, object)
+    numeric = expected in ("integer", "number")  # a bool is never a number
+    members = frozenset(schema["enum"]) if "enum" in schema else None
+    tests = [make(schema[key]) for key, make in _TESTS.items() if key in schema]
+    walk = _object_walk(schema) if expected == "object" else None
+    if "items" in schema:
+        walk = _items_walk(_compile(schema["items"]))
 
-    if "enum" in schema and value not in schema["enum"]:
-        problems.append((path, f"value {value!r} not in enumeration"))
-        return problems
+    def check(value: Any, path: Any, problems: list) -> None:
+        if not isinstance(value, classes) or (numeric and isinstance(value, bool)):
+            problems.append((path, f"expected {expected}"))
+            return
+        if members is not None:
+            try:
+                known = value in members
+            except TypeError:  # a list or a mapping is never a member
+                known = False
+            if not known:
+                problems.append((path, f"value {value!r} not in enumeration"))
+                return
+        for test, message in tests:
+            if not test(value):
+                problems.append((path, message))
+        if walk is not None:
+            walk(value, path, problems)
 
-    if isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            problems.append((path, "string must be non-empty"))
-        pattern = schema.get("pattern")
-        if pattern is not None and re.search(pattern, value) is None:
-            problems.append((path, f"string does not match {pattern}"))
-        if schema.get("format") == "date-time" and not is_timestamp(value):
-            problems.append((path, "not a valid RFC 3339 timestamp"))
+    return check
 
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                problems.append((_join(path, key), "required field missing"))
-        props = schema.get("properties", {})
-        if schema.get("additionalProperties") is False:
+
+def _object_walk(schema: Mapping[str, Any]) -> _Check:
+    required = dict.fromkeys(schema.get("required", ()))
+    properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    closed = schema.get("additionalProperties") is False
+    one_of = [(b["required"], b.get("not", {}).get("required", ())) for b in schema.get("oneOf", ())]
+
+    def walk(value: dict, path: Any, problems: list) -> None:
+        if not value.keys() >= required.keys():
+            for key in required:
+                if key not in value:
+                    problems.append(((key, path), "required field missing"))
+        if closed and not value.keys() <= properties.keys():
             for key in value:
-                if key not in props:
-                    problems.append((_join(path, key), "unknown field"))
-        if len(value) < schema.get("minProperties", 0):
-            problems.append((path, "at least one field required"))
-        for key, sub in props.items():
+                if key not in properties:
+                    problems.append(((key, path), "unknown field"))
+        for key, check in properties.items():
             if key in value:
-                problems.extend(_evaluate(value[key], sub, _join(path, key)))
-        one_of = schema.get("oneOf")
-        if one_of is not None:
+                check(value[key], (key, path), problems)
+        if one_of:
             hits = 0
-            for branch in one_of:
-                ok = all(k in value for k in branch.get("required", ()))
-                negated = branch.get("not", {}).get("required", ())
-                ok = ok and not any(k in value for k in negated)
-                hits += ok
+            for needed, excluded in one_of:
+                hits += all(k in value for k in needed) and not any(k in value for k in excluded)
             if hits != 1:
                 problems.append((path, "exactly one alternative must hold"))
 
-    if isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            problems.append((path, "at least one item required"))
-        items = schema.get("items")
-        if items is not None:
-            for i, item in enumerate(value):
-                problems.extend(_evaluate(item, items, _join(path, str(i))))
-
-    return problems
+    return walk
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}/{key}" if path else key
+def _items_walk(check_item: _Check) -> _Check:
+    def walk(value: list, path: Any, problems: list) -> None:
+        for i, item in enumerate(value):
+            check_item(item, (str(i), path), problems)
+
+    return walk
 
 
-def validate_tree(tree: Any) -> list[tuple[str, str]]:
-    """Structural violations of a raw document tree as (path, message) pairs."""
-    return _evaluate(tree, RECORD_SCHEMA, "")
+def _render(path: Any) -> Any:
+    """A (key, parent) chain as "a/0/b"; a key under an empty path stays as it is."""
+    if path is None:
+        return ""
+    key, parent = path
+    rendered = _render(parent)
+    return f"{rendered}/{key}" if rendered else key
+
+
+def validator(schema: Mapping[str, Any]) -> Callable[[Any], list[tuple[str, str]]]:
+    """Compile ``schema`` once: the result lists a value's violations as (path, message)."""
+    check = _compile(schema)
+
+    def validate(value: Any) -> list[tuple[str, str]]:
+        problems: list = []
+        check(value, None, problems)
+        return [(_render(path), message) for path, message in problems]
+
+    return validate
+
+
+# Structural violations of a raw document tree as (path, message) pairs.
+validate_tree = validator(RECORD_SCHEMA)

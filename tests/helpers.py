@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import jsonschema
+
+from knows_sidecar import schema
 from knows_sidecar.model import (
     Action,
     ActionInterface,
@@ -31,6 +34,7 @@ from knows_sidecar.model import (
     Statement,
     VersionTriple,
     SCHEMA_URI,
+    is_timestamp,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -45,6 +49,17 @@ DEEP_DOC = (
     + "]" * 3000
     + "\n"
 )
+
+_FORMATS = jsonschema.FormatChecker()
+
+
+@_FORMATS.checks("date-time")
+def _rfc3339(value):
+    return not isinstance(value, str) or is_timestamp(value)
+
+
+# An off-the-shelf validator of RECORD_SCHEMA, reading date-time as K001 does.
+RECORD_ORACLE = jsonschema.Draft202012Validator(schema.RECORD_SCHEMA, format_checker=_FORMATS)
 
 _WORDS = (
     "ablation anchor audit batch cache census cohort corpus decay delta "

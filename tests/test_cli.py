@@ -63,6 +63,13 @@ class TestLint:
         assert out.startswith("K001 error license")
         assert "PASS" not in out and "FAIL" not in out
 
+    def test_superscript_profile_major_is_a_finding(self, tmp_path, capsys):
+        bad = tmp_path / "sup.yaml"
+        text = (FIXTURES / "minimal.knows.yaml").read_text()
+        bad.write_text(text.replace("profile: paper@1", "profile: paper@\u00b2"), encoding="utf-8")
+        assert run("lint", str(bad), "--format", "lines") == 1
+        assert capsys.readouterr().out.startswith("K001 error profile")
+
     def test_missing_file_is_io_error(self):
         assert run("lint", "no/such/file.yaml") == 3
 
@@ -268,6 +275,12 @@ class TestAudit:
         bad.write_text(json.dumps(items))
         code = run("audit", "--matched", str(bad), "--context", fx("bloom_context.txt"))
         assert code == 1
+
+    def test_matched_file_nested_too_deeply_is_parse_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert run("audit", "--matched", str(deep), "--context", fx("bloom_context.txt")) == 3
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_mixed_modes_are_usage_error(self, tmp_path):
         code = run(

@@ -274,6 +274,23 @@ class TestConsume:
                 passage_source=broken,
             )
 
+    @pytest.mark.parametrize(
+        "value, overridden", [(".inf", True), (".nan", True), ("65000.0", False), ("65000", False)]
+    )
+    def test_override_spells_only_finite_integral_values_as_integers(self, value, overridden):
+        text = (FIXTURES / "moore.knows.yaml").read_text().replace("value: 65000", f"value: {value}")
+        record, _ = load_record(text)
+        answer = consume(
+            Query("How many elements per device by 1975 does the density trend plot show?"),
+            "moore-1965",
+            mode="fallback",
+            tau=2.0,
+            registry=Registry([record]),
+            passage_source=page_file_provider("[PAGE 2]\nsome 65000 elements per device\n"),
+        )
+        assert answer.status == "answer"
+        assert ("moore-1965#ev:density-trend" in answer.trace.overridden) is overridden
+
     def test_stage2_trace_is_superset_of_stage1(self):
         stage1 = consume(
             Query(BLOOM_QUESTION), "bloom-1956", mode="only", registry=self.registry

@@ -1,11 +1,16 @@
 import json
+import math
 
+import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import FIXTURES
 from knows_sidecar.consumer import parse_page_markers
 from knows_sidecar.errors import EmptyInputError
 from knows_sidecar.matched import (
+    ANSWER_SCHEMA,
+    STATUS_VALUES,
     ItemVerdict,
     gate_report,
     normalize_text,
@@ -58,11 +63,16 @@ class TestParse:
             {"evidence": [{"source": "paper", "page": 1.5, "quote": "q", "support": "direct"}]},
             {"item_id": ""},
             {"extra": 1},
+            {"confidence": float("nan")},
+            {"confidence": float("inf")},
+            {"evidence": [{"source": "paper", "page": 2.0, "quote": "q", "support": "direct"}]},
+            "[1]",
         ],
     )
     def test_rejects_structural_problems(self, mutation):
+        raw = good_item(**mutation) if isinstance(mutation, dict) else mutation
         with pytest.raises(ValueError):
-            parse_matched_output(good_item(**mutation))
+            parse_matched_output(raw)
 
     def test_rejects_missing_field(self):
         item = good_item()
@@ -73,6 +83,96 @@ class TestParse:
     def test_rejects_bad_json(self):
         with pytest.raises(ValueError):
             parse_matched_output("{not json")
+
+    def test_schema_requires_six_fields_and_is_closed(self):
+        fields = ["item_id", "status", "confidence", "answer", "evidence", "reason"]
+        assert ANSWER_SCHEMA["required"] == fields
+        assert list(ANSWER_SCHEMA["properties"]) == fields
+        assert ANSWER_SCHEMA["additionalProperties"] is False
+        entry = ANSWER_SCHEMA["properties"]["evidence"]["items"]
+        assert entry["required"] == ["source", "page", "quote", "support"]
+        assert entry["additionalProperties"] is False
+
+
+# ---------------------------------------------------------------------------
+# The parser against an off-the-shelf validator of ANSWER_SCHEMA
+
+_ANSWER_ORACLE = jsonschema.Draft202012Validator(ANSWER_SCHEMA)
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["answer", "paper", "direct", "indirect"]),
+    st.lists(st.integers(), max_size=1),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+evidence_entries = st.fixed_dictionaries(
+    {
+        "source": st.just("paper"),
+        "page": st.integers(0, 9),
+        "quote": st.text(max_size=5),
+        "support": st.sampled_from(["direct", "indirect"]),
+    }
+)
+
+
+@st.composite
+def answer_objects(draw):
+    """Well-formed answer objects with up to three fields set to junk, dropped or added."""
+    evidence = draw(st.lists(evidence_entries, max_size=2))
+    obj = {
+        "item_id": draw(st.text(max_size=3)),
+        "status": draw(st.sampled_from(sorted(STATUS_VALUES))),
+        "confidence": draw(st.one_of(st.floats(0, 1), st.integers(0, 1))),
+        "answer": draw(st.text(max_size=3)),
+        "evidence": evidence,
+        "reason": draw(st.text(max_size=3)),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([obj, *evidence]))
+        op = draw(st.sampled_from(["set", "delete", "add"]))
+        if op == "add":
+            target[draw(st.text(max_size=2))] = draw(junk)
+        elif target:
+            key = draw(st.sampled_from(sorted(target)))
+            if op == "set":
+                target[key] = draw(junk)
+            else:
+                del target[key]
+    return obj
+
+
+def _pinned_divergence(obj) -> bool:
+    """JSON Schema accepts these and the parser does not.
+
+    JSON Schema counts an integral float such as ``page: 2.0`` as an integer,
+    and a NaN confidence fails neither bound there; the parser rejects both.
+    """
+    confidence = obj.get("confidence")
+    if isinstance(confidence, float) and math.isnan(confidence):
+        return True
+    evidence = obj.get("evidence")
+    return isinstance(evidence, list) and any(
+        isinstance(entry, dict) and isinstance(entry.get("page"), float) and entry["page"].is_integer()
+        for entry in evidence
+    )
+
+
+@settings(deadline=None)
+@given(answer_objects())
+@example(good_item(evidence=[{"source": "paper", "page": 2.0, "quote": "q", "support": "direct"}]))
+@example(good_item(confidence=float("nan")))
+def test_parser_agrees_with_jsonschema(obj):
+    try:
+        parse_matched_output(obj)
+    except ValueError:
+        parsed = False
+    else:
+        parsed = True
+    assert parsed == (_ANSWER_ORACLE.is_valid(obj) and not _pinned_divergence(obj))
 
 
 class TestNormalization:
@@ -99,6 +199,11 @@ class TestValidate:
 
     def test_parse_failure_fails_everything(self):
         verdict = validate_matched_output("{broken", CONTEXT)
+        assert verdict == ItemVerdict(False, False, False, error=verdict.error)
+        assert verdict.error
+
+    def test_json_nested_too_deeply_fails_parse(self):
+        verdict = validate_matched_output("[" * 200_000, CONTEXT)
         assert verdict == ItemVerdict(False, False, False, error=verdict.error)
         assert verdict.error
 

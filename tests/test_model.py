@@ -108,7 +108,7 @@ class TestProfile:
         assert parse_profile("paper@1") == Profile("paper", 1)
         assert parse_profile("name@with@2") == Profile("name@with", 2)
 
-    @pytest.mark.parametrize("bad", ["paper", "paper@0", "paper@-1", "@1", "paper@x"])
+    @pytest.mark.parametrize("bad", ["paper", "paper@0", "paper@-1", "@1", "paper@x", "paper@\u00b2"])
     def test_malformed(self, bad):
         with pytest.raises(MalformedError):
             parse_profile(bad)

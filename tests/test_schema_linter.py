@@ -1,10 +1,9 @@
 import copy
 
-import jsonschema
 import pytest
 import yaml
 
-from helpers import FIXTURES, make_record
+from helpers import FIXTURES, RECORD_ORACLE, make_record
 from knows_sidecar import schema
 from knows_sidecar.graph import Registry, resolve
 from knows_sidecar.linter import (
@@ -14,7 +13,6 @@ from knows_sidecar.linter import (
     render_lines,
     render_text,
 )
-from knows_sidecar.model import is_timestamp
 from knows_sidecar.serialization import emit_record, load_record, record_to_tree
 
 
@@ -30,19 +28,8 @@ def findings_with(report, code):
 # ---------------------------------------------------------------------------
 # K001 via two independent routes over the same schema document
 
-_FORMATS = jsonschema.FormatChecker()
-
-
-@_FORMATS.checks("date-time")
-def _rfc3339(value):
-    return not isinstance(value, str) or is_timestamp(value)
-
-
-_ORACLE = jsonschema.Draft202012Validator(schema.RECORD_SCHEMA, format_checker=_FORMATS)
-
-
 def oracle_valid(tree) -> bool:
-    return not list(_ORACLE.iter_errors(tree))
+    return RECORD_ORACLE.is_valid(tree)
 
 
 def _mutations(tree):

@@ -7,7 +7,7 @@ import yaml
 from helpers import DEEP_DOC, FIXTURES, make_record
 from knows_sidecar import serialization
 from knows_sidecar.errors import EmissionError, RecordSyntaxError, TypeMismatchError
-from knows_sidecar.model import EntityId, SpecVersion
+from knows_sidecar.model import EntityId, Profile, SpecVersion
 from knows_sidecar.projection import token_report
 from knows_sidecar.serialization import (
     document_tree,
@@ -77,6 +77,11 @@ class TestLoad:
     def test_unparseable_id_kept_raw(self):
         record, _ = load_record("subject_ref: 'not an id'\n")
         assert record.subject_ref == "not an id"
+
+    def test_profile_major_parses_only_decimal_digits(self):
+        assert load_record("profile: paper@\u0663\n")[0].profile == Profile("paper", 3)
+        # A superscript digit is a digit to str.isdigit but not to int().
+        assert load_record("profile: paper@\u00b2\n")[0].profile == "paper@\u00b2"
 
     def test_unknown_root_key_logged(self):
         record, log = load_record("record_id: r1\nbogus_key: 1\n")

@@ -19,9 +19,9 @@ from . import corruption, matched
 from .consumer import Query, consume, page_file_provider, parse_page_markers
 from .errors import KnowsError
 from .graph import Registry, build_graph, export_edge_list, resolve, trace, version_chain
-from .linter import lint, render_lines, render_text
+from .linter import LintReport, lint, render_lines, render_text
 from .model import Author, Identifiers, Locator, parse_profile
-from .projection import ProjectionCondition, project, record_tokens
+from .projection import ProjectionCondition, project, token_report
 from .scaffold import ScaffoldInput, scaffold_record, sidecar_filename
 from .serialization import emit_record, load_record
 
@@ -43,6 +43,13 @@ def _read_record(path: str):
     return record
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _IoFailure(f"cannot read {path}: {exc}")
+
+
 class _IoFailure(Exception):
     pass
 
@@ -55,6 +62,17 @@ def _default_fetcher(url: str) -> int:
 
 def _no_network() -> bool:
     return os.environ.get("KNOWS_NO_NETWORK") == "1"
+
+
+def _print_report(report: LintReport, fmt: str) -> int:
+    """Print a lint report in ``--format`` and return the exit code it earns."""
+    if fmt == "lines":
+        rendered = render_lines(report)
+        if rendered:
+            print(rendered)
+    else:
+        print(render_text(report))
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +109,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_IO
     report = lint(record)
     print(f"wrote {out}")
-    if args.format == "lines":
-        rendered = render_lines(report)
-        if rendered:
-            print(rendered)
-    else:
-        print(render_text(report))
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return _print_report(report, args.format)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -109,13 +121,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         fetcher=_default_fetcher if check_urls else None,
         liveness_errors=args.liveness_errors,
     )
-    if args.format == "lines":
-        rendered = render_lines(report)
-        if rendered:
-            print(rendered)
-    else:
-        print(render_text(report))
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return _print_report(report, args.format)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -123,11 +129,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     registry = Registry([record])
     passage_source = None
     if args.passages:
-        try:
-            text = Path(args.passages).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _IoFailure(f"cannot read {args.passages}: {exc}")
-        passage_source = page_file_provider(text)
+        passage_source = page_file_provider(_read_text(args.passages))
     if args.mode == "fallback" and passage_source is None:
         print("query: fallback mode requires --passages", file=sys.stderr)
         return EXIT_USAGE
@@ -200,7 +202,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(payload.decode("utf-8"))
     if args.tokens:
-        counts = {c.value: record_tokens(record, c) for c in ProjectionCondition}
+        counts = token_report(record)
         full = counts["full"]
         for name, count in counts.items():
             print(f"# tokens {name}={count}", file=sys.stderr)
@@ -232,11 +234,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if not args.context:
             print("audit: --matched requires --context", file=sys.stderr)
             return EXIT_USAGE
+        matched_text = _read_text(args.matched)
+        context_text = _read_text(args.context)
         try:
-            raw_items = json.loads(Path(args.matched).read_text(encoding="utf-8"))
-            context_text = Path(args.context).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _IoFailure(str(exc))
+            raw_items = json.loads(matched_text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise _IoFailure(f"cannot parse {args.matched}: {exc}")
         if not isinstance(raw_items, list):

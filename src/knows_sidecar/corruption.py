@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import NotApplicableError
 from .linter import lint
@@ -65,14 +65,60 @@ def _confidence_targets(record: KnowsRecord) -> list[int]:
     ]
 
 
+def _omit_limitation(record: KnowsRecord, victim: Statement) -> tuple[str, KnowsRecord]:
+    statements = tuple(s for s in record.statements if s is not victim)
+    return str(victim.id), replace(record, statements=statements)
+
+
+def _wrong_number(record: KnowsRecord, target: tuple[int, int]) -> tuple[str, KnowsRecord]:
+    i, j = target
+    ev = record.evidence[i]
+    obs = ev.observations[j]
+    new_obs = replace(obs, value=obs.value * 2 + 1)
+    observations = tuple(
+        new_obs if k == j else o for k, o in enumerate(ev.observations)
+    )
+    evidence = tuple(
+        replace(e, observations=observations) if k == i else e
+        for k, e in enumerate(record.evidence)
+    )
+    return f"{ev.id}/observations/{j}", replace(record, evidence=evidence)
+
+
+def _inflate_confidence(record: KnowsRecord, i: int) -> tuple[str, KnowsRecord]:
+    stmt = record.statements[i]
+    new_conf = Confidence(
+        claim_strength=_STRENGTH_UP[stmt.confidence.claim_strength],
+        extraction_fidelity=stmt.confidence.extraction_fidelity,
+    )
+    statements = tuple(
+        replace(s, confidence=new_conf) if k == i else s
+        for k, s in enumerate(record.statements)
+    )
+    return str(stmt.id), replace(record, statements=statements)
+
+
+# Per kind: the record's targets, the corruption of one target (its label and
+# the corrupted record), and why a record without targets is not applicable.
+_KINDS: dict[InjectionKind, tuple[Callable, Callable, str]] = {
+    InjectionKind.OMIT_LIMITATION: (
+        _limitation_targets,
+        _omit_limitation,
+        "no relation-referenced limitation statement",
+    ),
+    InjectionKind.WRONG_NUMBER: (_numeric_targets, _wrong_number, "no numeric observation value"),
+    InjectionKind.INFLATE_CONFIDENCE: (
+        _confidence_targets,
+        _inflate_confidence,
+        "no statement with raisable claim strength",
+    ),
+}
+
+
 def applicable(record: KnowsRecord, kind: InjectionKind) -> bool:
     """Whether the record offers at least one target for this corruption."""
-    kind = InjectionKind(kind)
-    if kind is InjectionKind.OMIT_LIMITATION:
-        return bool(_limitation_targets(record))
-    if kind is InjectionKind.WRONG_NUMBER:
-        return bool(_numeric_targets(record))
-    return bool(_confidence_targets(record))
+    targets, _, _ = _KINDS[InjectionKind(kind)]
+    return bool(targets(record))
 
 
 @dataclass(frozen=True)
@@ -85,44 +131,12 @@ class Injection:
 def inject(record: KnowsRecord, kind: InjectionKind, seed: int) -> Injection:
     """Apply one seeded corruption; raises when no target qualifies."""
     kind = InjectionKind(kind)
-    rng = random.Random(seed)
-    if kind is InjectionKind.OMIT_LIMITATION:
-        targets = _limitation_targets(record)
-        if not targets:
-            raise NotApplicableError("no relation-referenced limitation statement")
-        victim = rng.choice(targets)
-        statements = tuple(s for s in record.statements if s is not victim)
-        return Injection(kind, str(victim.id), replace(record, statements=statements))
-    if kind is InjectionKind.WRONG_NUMBER:
-        targets = _numeric_targets(record)
-        if not targets:
-            raise NotApplicableError("no numeric observation value")
-        i, j = rng.choice(targets)
-        ev = record.evidence[i]
-        obs = ev.observations[j]
-        new_obs = replace(obs, value=obs.value * 2 + 1)
-        observations = tuple(
-            new_obs if k == j else o for k, o in enumerate(ev.observations)
-        )
-        evidence = tuple(
-            replace(e, observations=observations) if k == i else e
-            for k, e in enumerate(record.evidence)
-        )
-        return Injection(kind, f"{ev.id}/observations/{j}", replace(record, evidence=evidence))
-    targets = _confidence_targets(record)
+    find_targets, corrupt, reason = _KINDS[kind]
+    targets = find_targets(record)
     if not targets:
-        raise NotApplicableError("no statement with raisable claim strength")
-    i = rng.choice(targets)
-    stmt = record.statements[i]
-    new_conf = Confidence(
-        claim_strength=_STRENGTH_UP[stmt.confidence.claim_strength],
-        extraction_fidelity=stmt.confidence.extraction_fidelity,
-    )
-    statements = tuple(
-        replace(s, confidence=new_conf) if k == i else s
-        for k, s in enumerate(record.statements)
-    )
-    return Injection(kind, str(stmt.id), replace(record, statements=statements))
+        raise NotApplicableError(reason)
+    target, corrupted = corrupt(record, random.Random(seed).choice(targets))
+    return Injection(kind, target, corrupted)
 
 
 @dataclass(frozen=True)
@@ -156,10 +170,11 @@ def run_study(corpus: Sequence[KnowsRecord], seed: int = 0) -> DetectionReport:
         n_applicable = 0
         n_detected = 0
         for index, record in enumerate(corpus):
-            if not applicable(record, kind):
+            try:
+                corrupted = inject(record, kind, seed=seed * 100003 + index)
+            except NotApplicableError:
                 continue
             n_applicable += 1
-            corrupted = inject(record, kind, seed=seed * 100003 + index)
             if not lint(corrupted.record).passed:
                 n_detected += 1
         results.append(KindResult(kind=kind, applicable=n_applicable, detected=n_detected))

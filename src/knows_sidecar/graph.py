@@ -92,9 +92,6 @@ class Registry:
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._records
 
-    def record_ids(self) -> list[str]:
-        return list(self._records)
-
     def records(self) -> list[KnowsRecord]:
         return list(self._records.values())
 

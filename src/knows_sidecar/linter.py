@@ -18,7 +18,7 @@ from . import schema
 from .model import (
     CLASS_PREFIX,
     ENTITY_CLASS,
-    PREFIX_CLASS,
+    PREDICATE_MATRIX,
     REF_FIELDS,
     Artifact,
     EntityId,
@@ -74,7 +74,7 @@ def _warn(code: LintCode, path: str, message: str) -> LintFinding:
 # Check 1: schema
 
 
-def check_schema(tree: Any, record: KnowsRecord) -> list[LintFinding]:
+def check_schema(tree: Any) -> list[LintFinding]:
     """Structural violations of the raw document tree (K001)."""
     return [
         _err(LintCode.SCHEMA, path, message) for path, message in schema.validate_tree(tree)
@@ -194,23 +194,6 @@ def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
 
 # ---------------------------------------------------------------------------
 # Check 5: relation predicate constraints
-
-
-_S, _A, _E = "stmt", "art", "ev"
-PREDICATE_MATRIX: dict[str, frozenset[tuple[str, str]]] = {
-    "supported_by": frozenset({(_S, _E), (_S, _S)}),
-    "challenged_by": frozenset({(_S, _E), (_S, _S)}),
-    "depends_on": frozenset({(_S, _S), (_S, _A), (_A, _S), (_A, _A)}),
-    "limited_by": frozenset({(_S, _S), (_A, _S)}),
-    "uses": frozenset({(_A, _A), (_S, _A)}),
-    "evaluates_on": frozenset({(_A, _A), (_S, _A)}),
-    "implements": frozenset({(_A, _A), (_S, _A)}),
-    "documents": frozenset({(_S, _A), (_A, _A)}),
-    "cites": frozenset({(_A, _A)}),
-    "same_as": frozenset((p, p) for p in PREFIX_CLASS),
-    "supersedes": frozenset({(_S, _S), (_A, _A)}),
-    "retracts": frozenset({(_S, _S), (_A, _A)}),
-}
 
 
 def check_predicates(record: KnowsRecord) -> list[LintFinding]:
@@ -337,7 +320,7 @@ def lint(
     """
     tree = document_tree(record)
     findings: list[LintFinding] = []
-    findings.extend(check_schema(tree, record))
+    findings.extend(check_schema(tree))
     findings.extend(check_crossrefs(record, registry=registry))
     findings.extend(check_id_uniqueness(record))
     findings.extend(check_id_prefixes(record))

@@ -23,8 +23,17 @@ of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
 this table and :mod:`knows_sidecar.schema` builds ``RECORD_SCHEMA`` from it.
 ``ENTITY_LISTS`` and ``REF_FIELDS`` read from it which fields hold entities
 and which name one; the linter and the graph walk records through them.
-Enumerated fields are stored as plain strings so that a record loaded from
-disk can carry out-of-vocabulary values for the linter to report.
+``PREDICATE_MATRIX`` is the one list of relation predicates: its keys are
+``Relation.predicate``'s vocabulary and its values the (subject prefix,
+object prefix) pairs each admits, which K005 checks.  Enumerated fields are
+stored as plain strings so that a record loaded from disk can carry
+out-of-vocabulary values for the linter to report.
+
+Kept state: what a record derives once and keeps lives in its instance
+``__dict__``, beside the fields, written by a ``functools.cached_property``
+(or, for the loaded tree, by the loader).  It belongs to the object:
+equality and repr ignore it, ``dataclasses.replace`` starts without it, and
+``copy.deepcopy`` copies it.
 """
 
 from __future__ import annotations
@@ -32,9 +41,9 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, ClassVar, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import MalformedError, UnknownPrefixError
 
@@ -50,6 +59,24 @@ PREFIX_CLASS = {
     "rep": "representation",
 }
 CLASS_PREFIX = {cls: prefix for prefix, cls in PREFIX_CLASS.items()}
+
+# The relation predicates, each with the (subject prefix, object prefix)
+# pairs it admits: ``Relation.predicate``'s vocabulary and K005's table.
+_S, _A, _E = "stmt", "art", "ev"
+PREDICATE_MATRIX: dict[str, frozenset[tuple[str, str]]] = {
+    "supported_by": frozenset({(_S, _E), (_S, _S)}),
+    "challenged_by": frozenset({(_S, _E), (_S, _S)}),
+    "depends_on": frozenset({(_S, _S), (_S, _A), (_A, _S), (_A, _A)}),
+    "limited_by": frozenset({(_S, _S), (_A, _S)}),
+    "uses": frozenset({(_A, _A), (_S, _A)}),
+    "evaluates_on": frozenset({(_A, _A), (_S, _A)}),
+    "implements": frozenset({(_A, _A), (_S, _A)}),
+    "documents": frozenset({(_S, _A), (_A, _A)}),
+    "cites": frozenset({(_A, _A)}),
+    "same_as": frozenset((p, p) for p in PREFIX_CLASS),
+    "supersedes": frozenset({(_S, _S), (_A, _A)}),
+    "retracts": frozenset({(_S, _S), (_A, _A)}),
+}
 
 _SEMVER_PATTERN = r"^\d+\.\d+\.\d+$"
 _PROFILE_PATTERN = r"^.+@[1-9]\d*$"
@@ -331,20 +358,7 @@ class Evidence:
 class Relation:
     id: EntityId = _meta(minLength=1)
     subject_ref: Ref = _meta(minLength=1)
-    predicate: str = _vocab(
-        "supported_by",
-        "challenged_by",
-        "depends_on",
-        "limited_by",
-        "uses",
-        "evaluates_on",
-        "implements",
-        "documents",
-        "cites",
-        "same_as",
-        "supersedes",
-        "retracts",
-    )
+    predicate: str = _vocab(*PREDICATE_MATRIX)
     object_ref: Ref = _meta(minLength=1)
     citation_intent: Optional[str] = _vocab(
         "supports",
@@ -423,19 +437,18 @@ class ExternalMetadataRef:
     locator: str = _meta(minLength=1)
 
 
-# Where a record keeps its entities and their index once walked; not a field,
-# so equality, repr and ``dataclasses.replace`` do not see it.
-_ENTITY_INDEX_ATTR = "_knows_entity_index"
-
-
 @dataclass(frozen=True)
 class KnowsRecord:
     """Root sidecar document.
 
     Instances are value objects: two records loaded from differently ordered
-    YAML compare equal.  The originating document tree (used by lint check 1)
-    rides along outside the value via :mod:`knows_sidecar.serialization`.
+    YAML compare equal.  Kept state (see the module docstring): the walk
+    behind ``entities()`` and, on a loaded record, ``_source_tree``.
     """
+
+    # The YAML tree ``serialization.load_record`` parsed the record from, read
+    # by ``serialization.document_tree``; None on a record built in memory.
+    _source_tree: ClassVar[Optional[dict[str, Any]]] = None
 
     schema_uri: str = _meta(minLength=1, key="$schema", missing=SCHEMA_URI)
     knows_version: SpecVersion = _meta(pattern=_SEMVER_PATTERN)
@@ -465,38 +478,35 @@ class KnowsRecord:
     external_metadata_refs: tuple[ExternalMetadataRef, ...] = ()
     extensions: Optional[dict[str, Any]] = None
 
+    @cached_property
     def _walk(self) -> tuple[tuple[tuple[Any, str], ...], dict[str, Any]]:
-        """Entities with their paths, and the index over them: built once and shared."""
-        memo = getattr(self, _ENTITY_INDEX_ATTR, None)
-        if memo is None:
-            pairs: list[tuple[Any, str]] = []
-            index: dict[str, Any] = {}
+        """Entities with their paths, and the index over them."""
+        pairs: list[tuple[Any, str]] = []
+        index: dict[str, Any] = {}
 
-            def visit(owner: Any, base: str) -> None:
-                for name in ENTITY_LISTS[type(owner)]:
-                    for i, entity in enumerate(getattr(owner, name)):
-                        path = f"{base}{name}/{i}"
-                        pairs.append((entity, path))
-                        index.setdefault(str(entity.id), entity)
-                        if ENTITY_LISTS[type(entity)]:
-                            visit(entity, path + "/")
+        def visit(owner: Any, base: str) -> None:
+            for name in ENTITY_LISTS[type(owner)]:
+                for i, entity in enumerate(getattr(owner, name)):
+                    path = f"{base}{name}/{i}"
+                    pairs.append((entity, path))
+                    index.setdefault(str(entity.id), entity)
+                    if ENTITY_LISTS[type(entity)]:
+                        visit(entity, path + "/")
 
-            visit(self, "")
-            memo = (tuple(pairs), index)
-            object.__setattr__(self, _ENTITY_INDEX_ATTR, memo)
-        return memo
+        visit(self, "")
+        return tuple(pairs), index
 
     def entities(self) -> tuple[tuple[Any, str], ...]:
         """Every entity with its path, in document order."""
-        return self._walk()[0]
+        return self._walk[0]
 
     def all_entity_ids(self) -> list[tuple[EntityId, str]]:
         """Every entity ID in the record with the path of its owner."""
-        return [(entity.id, path) for entity, path in self._walk()[0]]
+        return [(entity.id, path) for entity, path in self._walk[0]]
 
     def entity_index(self) -> Mapping[str, Any]:
         """Rendered entity ID -> entity, first in document order wins; read-only."""
-        return MappingProxyType(self._walk()[1])
+        return MappingProxyType(self._walk[1])
 
     def subject_artifact(self) -> Optional[Artifact]:
         for art in self.artifacts:

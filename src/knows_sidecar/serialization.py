@@ -35,31 +35,10 @@ class UnknownFieldLog:
     entries: tuple[UnknownFieldEntry, ...]
 
 
-@dataclass(frozen=True)
-class SourceDocument:
-    """Raw bytes plus the generic YAML tree they decode to."""
-
-    raw: bytes
-    tree: dict[str, Any]
-
-
-_SOURCE_ATTR = "_knows_source_document"
-
-
-def attach_source(record: KnowsRecord, doc: SourceDocument) -> None:
-    object.__setattr__(record, _SOURCE_ATTR, doc)
-
-
-def source_of(record: KnowsRecord) -> Optional[SourceDocument]:
-    return getattr(record, _SOURCE_ATTR, None)
-
-
 def document_tree(record: KnowsRecord) -> dict[str, Any]:
-    """The record's retained source tree, or its canonical re-emission."""
-    doc = source_of(record)
-    if doc is not None:
-        return doc.tree
-    return record_to_tree(record)
+    """The tree a loaded record was parsed from, or its canonical re-emission."""
+    tree = record._source_tree
+    return record_to_tree(record) if tree is None else tree
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +91,8 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     # Root extensions are logged before any entity's x_extensions.
     _extension_map(tree.get("extensions"), "", "extensions", log)
     record = _load_root(tree, "", "", log)
-    attach_source(record, SourceDocument(raw=raw, tree=tree))
+    # The record is frozen; kept state goes straight into its instance dict.
+    vars(record)["_source_tree"] = tree
     return record, UnknownFieldLog(tuple(log))
 
 

@@ -133,6 +133,21 @@ class TestQuery:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["pages"] == [3, 4]
 
+    def test_passages_not_utf8_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "pages.txt"
+        bad.write_bytes(b"[PAGE 1]\nheat \xff\n")
+        code = run(
+            "query",
+            fx("moore.knows.yaml"),
+            MOORE_QUESTION,
+            "--mode",
+            "fallback",
+            "--passages",
+            str(bad),
+        )
+        assert code == 3
+        assert f"cannot read {bad}" in capsys.readouterr().err
+
     def test_lines_format(self, capsys):
         run("query", fx("bloom.knows.yaml"), "six levels taxonomy order", "--format", "lines")
         lines = capsys.readouterr().out.splitlines()
@@ -281,6 +296,15 @@ class TestAudit:
         deep.write_text("[" * 200_000)
         assert run("audit", "--matched", str(deep), "--context", fx("bloom_context.txt")) == 3
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["matched", "context"])
+    def test_file_not_utf8_is_io_error(self, tmp_path, capsys, which):
+        paths = {"matched": fx("bloom_matched.json"), "context": fx("bloom_context.txt")}
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b'[{"item_id": "a\xff"}]')
+        paths[which] = str(bad)
+        assert run("audit", "--matched", paths["matched"], "--context", paths["context"]) == 3
+        assert f"cannot read {bad}" in capsys.readouterr().err
 
     def test_mixed_modes_are_usage_error(self, tmp_path):
         code = run(

@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_record
+from helpers import FIXTURES, make_record
 from knows_sidecar import model
 from knows_sidecar.errors import MalformedError, UnknownPrefixError
+from knows_sidecar.linter import lint
 from knows_sidecar.model import (
     EntityId,
     KnowsRecord,
@@ -21,6 +22,7 @@ from knows_sidecar.model import (
     parse_timestamp,
     reader_accepts,
 )
+from knows_sidecar.serialization import load_record
 
 
 class TestEntityId:
@@ -132,7 +134,7 @@ class TestEntityIndex:
     def test_built_once_and_read_only(self):
         record = make_record(4)
         first = record.entity_index()
-        assert model._ENTITY_INDEX_ATTR in vars(record)
+        assert "_walk" in vars(record)
         assert record.entity_index() == first
         assert first["stmt:claim-0"] is record.statements[0]
         with pytest.raises(TypeError):
@@ -151,6 +153,33 @@ class TestEntityIndex:
         fewer = replace(record, statements=record.statements[:1])
         assert "stmt:claim-1" not in fewer.entity_index()
         assert "stmt:claim-1" in record.entity_index()
+
+
+class TestKeptState:
+    """A loaded record's tree follows the object, as the walk memo does."""
+
+    @staticmethod
+    def loaded_with_unknown_key():
+        raw = (FIXTURES / "minimal.knows.yaml").read_bytes() + b"x_unknown: 1\n"
+        record, _ = load_record(raw)
+        return record
+
+    @staticmethod
+    def k001(record):
+        return [(f.path, f.message) for f in lint(record).findings if f.code.value == "K001"]
+
+    def test_deepcopy_keeps_the_loaded_tree(self):
+        record = self.loaded_with_unknown_key()
+        copied = copy.deepcopy(record)
+        assert copied == record
+        # A re-emitted tree cannot hold the unknown key, so only the kept tree shows it.
+        assert self.k001(copied) == [("x_unknown", "unknown field")]
+
+    def test_replace_drops_the_loaded_tree(self):
+        record = self.loaded_with_unknown_key()
+        edited = replace(record, title="")
+        assert self.k001(edited) == [("title", "string must be non-empty")]
+        assert self.k001(record) == [("x_unknown", "unknown field")]
 
 
 class TestEntityLayout:

@@ -14,7 +14,6 @@ from knows_sidecar.serialization import (
     emit_record,
     load_record,
     record_to_tree,
-    source_of,
 )
 
 
@@ -35,10 +34,10 @@ class TestLoad:
 
     def test_source_tree_retained(self):
         record, _ = load_fixture("minimal.knows.yaml")
-        doc = source_of(record)
-        assert doc is not None
-        assert doc.tree["record_id"] == "10.1234/example"
-        assert document_tree(record) is doc.tree
+        tree = record._source_tree
+        assert tree is not None
+        assert tree["record_id"] == "10.1234/example"
+        assert document_tree(record) is tree
 
     def test_bom_tolerated(self):
         raw = (FIXTURES / "minimal.knows.yaml").read_bytes()

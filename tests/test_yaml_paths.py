@@ -332,4 +332,4 @@ def test_pinned_loader_differences(monkeypatch, doc, pure, fast):
                 load_record(doc)
         else:
             record, _ = load_record(doc)
-            assert serialization.source_of(record).tree == expected
+            assert record._source_tree == expected

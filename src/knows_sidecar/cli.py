@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import urllib.request
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -255,6 +256,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # Parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="knows", description="Sidecar record toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question")
     p.add_argument("--mode", choices=["only", "fallback"], default="only")
     p.add_argument("--tau", type=float, default=0.7)
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_positive_int, default=5)
     p.add_argument("--passages", help="[PAGE n]-marked text file for fallback")
     p.set_defaults(func=cmd_query)
 
@@ -318,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _IoFailure as exc:

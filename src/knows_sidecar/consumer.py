@@ -49,6 +49,10 @@ class Query:
     text: str
     k: int = 5
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class ScoredEntity:

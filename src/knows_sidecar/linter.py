@@ -26,7 +26,7 @@ from .model import (
     Representation,
     as_ref,
 )
-from .serialization import document_tree
+from .serialization import document_tree, typed_root
 
 UrlProbe = Callable[[str], int]
 
@@ -75,7 +75,7 @@ def _warn(code: LintCode, path: str, message: str) -> LintFinding:
 
 
 def check_schema(tree: Any) -> list[LintFinding]:
-    """Structural violations of the raw document tree (K001)."""
+    """Structural violations of a document tree or a typed root (K001)."""
     return [
         _err(LintCode.SCHEMA, path, message) for path, message in schema.validate_tree(tree)
     ]
@@ -318,7 +318,9 @@ def lint(
     Violations become findings; lint itself never raises on record content.
     Findings are sorted by (path, code) so reports are canonical.
     """
-    tree = document_tree(record)
+    # K001 on a record built in memory reads the findings its root field
+    # values keep, so a copy sharing entities re-checks only what it changed.
+    tree = typed_root(record) if record._source_tree is None else document_tree(record)
     findings: list[LintFinding] = []
     findings.extend(check_schema(tree))
     findings.extend(check_crossrefs(record, registry=registry))

@@ -13,6 +13,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from . import schema
@@ -82,10 +83,16 @@ def normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
+@lru_cache(maxsize=64)
+def _normalized_page(page_text: str) -> str:
+    """A context page normalized once for all the quotes a batch cites in it."""
+    return normalize_text(page_text)
+
+
 def quote_in_page(quote: str, page_text: str, *, normalize: bool = True) -> bool:
     """Contiguous-substring check, after normalization when enabled."""
     if normalize:
-        return normalize_text(quote) in normalize_text(page_text)
+        return normalize_text(quote) in _normalized_page(page_text)
     return quote in page_text
 
 

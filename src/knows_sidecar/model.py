@@ -29,11 +29,16 @@ object prefix) pairs each admits, which K005 checks.  Enumerated fields are
 stored as plain strings so that a record loaded from disk can carry
 out-of-vocabulary values for the linter to report.
 
-Kept state: what a record derives once and keeps lives in its instance
+Kept state: what a value derives once and keeps lives in its instance
 ``__dict__``, beside the fields, written by a ``functools.cached_property``
 (or, for the loaded tree, by the loader).  It belongs to the object:
 equality and repr ignore it, ``dataclasses.replace`` starts without it, and
-``copy.deepcopy`` copies it.
+``copy.deepcopy`` copies it.  A record keeps its entity walk (``_walk``)
+and, when loaded, its parsed tree (``_source_tree``).  Each dataclass value
+a root field of ``KnowsRecord`` holds, alone or as a list item, keeps its
+K001 findings (``_k001``), relative to itself; :mod:`knows_sidecar.schema`
+sets that property on the class when it compiles ``RECORD_SCHEMA``, since
+this module cannot import the schema.
 """
 
 from __future__ import annotations
@@ -442,8 +447,7 @@ class KnowsRecord:
     """Root sidecar document.
 
     Instances are value objects: two records loaded from differently ordered
-    YAML compare equal.  Kept state (see the module docstring): the walk
-    behind ``entities()`` and, on a loaded record, ``_source_tree``.
+    YAML compare equal.  Kept state: see the module docstring.
     """
 
     # The YAML tree ``serialization.load_record`` parsed the record from, read

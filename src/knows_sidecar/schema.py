@@ -11,9 +11,11 @@ is built on it, so its verdict is that of validating the tree by the schema.
 from __future__ import annotations
 
 import re
+from dataclasses import is_dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
-from . import model
+from . import model, serialization
 from .model import is_timestamp
 
 _JSON_TYPES = {
@@ -76,11 +78,34 @@ def object_schema(cls: type) -> dict[str, Any]:
 RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **object_schema(model.KnowsRecord)}
 
 
+def _kept_nodes() -> dict[int, type]:
+    """The classes whose values root fields hold, by the id of the node they fill.
+
+    An item schema takes keywords from its field, so a class that kept its
+    findings for two root fields could keep the wrong ones: each fills one.
+    """
+    nodes = {}
+    for slot in model.slots(model.KnowsRecord):
+        if is_dataclass(slot.kind) and slot.kind not in _JSON_TYPES:
+            node = RECORD_SCHEMA["properties"][slot.key]
+            nodes[id(node["items"] if slot.many else node)] = slot.kind
+    if len(set(nodes.values())) != len(nodes):
+        raise TypeError("a dataclass fills more than one root field of KnowsRecord")
+    return nodes
+
+
+_KEPT_NODES = _kept_nodes()
+
+
 # ---------------------------------------------------------------------------
 # Compiler for the schema subset above: each node compiles once into
 # ``check(value, path, problems)``, appending (path, message) pairs.  ``path``
 # is a (key, parent) chain, None at the root, rendered only for a problem.  A
 # value of the wrong type or outside the enumeration gets no further checks.
+# A ``RECORD_SCHEMA`` node that a root field's dataclass values fill reads a
+# value of exactly that class (see ``serialization.typed_root``) as the
+# findings it keeps, ``_k001``: the node's check of its emitted tree, with
+# paths relative to the value, computed once per value.
 
 _Check = Callable[[Any, Any, list], None]
 
@@ -107,9 +132,14 @@ def _compile(schema: Mapping[str, Any]) -> _Check:
     walk = _object_walk(schema) if expected == "object" else None
     if "items" in schema:
         walk = _items_walk(_compile(schema["items"]))
+    typed = _KEPT_NODES.get(id(schema))
 
     def check(value: Any, path: Any, problems: list) -> None:
         if not isinstance(value, classes) or (numeric and isinstance(value, bool)):
+            if type(value) is typed:
+                for key, message in value._k001:
+                    problems.append(((key, path) if key else path, message))
+                return
             problems.append((path, f"expected {expected}"))
             return
         if members is not None:
@@ -126,7 +156,23 @@ def _compile(schema: Mapping[str, Any]) -> _Check:
         if walk is not None:
             walk(value, path, problems)
 
+    if typed is not None:
+        _keep_findings(typed, check)
     return check
+
+
+def _keep_findings(cls: type, check: _Check) -> None:
+    """Give ``cls`` the kept state ``_k001``: ``check``'s findings on a value."""
+    emit = serialization._emitter(cls)
+
+    def findings(value: Any) -> tuple[tuple[str, str], ...]:
+        problems: list = []
+        check(emit(value), None, problems)
+        return tuple((_render(path), message) for path, message in problems)
+
+    kept = cached_property(findings)
+    kept.__set_name__(cls, "_k001")
+    cls._k001 = kept
 
 
 def _object_walk(schema: Mapping[str, Any]) -> _Check:

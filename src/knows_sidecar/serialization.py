@@ -209,14 +209,19 @@ def _render(value: Any) -> Any:
     return str(value) if isinstance(value, _RENDERED) else value
 
 
-def _emit_converter(slot: model.Slot) -> Optional[Callable[[Any], Any]]:
+def _typed(kind: type, emit: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Keep a value of exactly ``kind`` as it is; emit anything else."""
+    return lambda v: v if type(v) is kind else emit(v)
+
+
+def _emit_converter(slot: model.Slot, typed: bool) -> Optional[Callable[[Any], Any]]:
     """How one field emits, or None to emit the value as it is."""
     kind = slot.kind
     if "emit" in slot.meta:
         return slot.meta["emit"]
     if slot.many:
         if is_dataclass(kind):
-            item = _emitter(kind)
+            item = _typed(kind, _emitter(kind)) if typed else _emitter(kind)
             if slot.required:
                 return lambda v: [item(x) for x in v]
             return lambda v: [item(x) for x in v] or None
@@ -224,19 +229,20 @@ def _emit_converter(slot: model.Slot) -> Optional[Callable[[Any], Any]]:
     if kind in model.STRING_PARSERS:
         return _render
     if is_dataclass(kind):
-        return _emitter(kind)
+        return _typed(kind, _emitter(kind)) if typed else _emitter(kind)
     return None
 
 
 @cache
-def _emitter(cls: type) -> Callable[[Any], dict[str, Any]]:
+def _emitter(cls: type, typed: bool = False) -> Callable[[Any], dict[str, Any]]:
     """Compile the canonical tree builder of one dataclass from its field table.
 
     Each step is (attribute, key, converter or None).  A converter sees only
     values that are not None; a None value or result drops the key, and an
-    optional list that is empty drops it too.
+    optional list that is empty drops it too.  When ``typed``, a field's
+    dataclass value (or item) of exactly its declared class stays as it is.
     """
-    steps = tuple((slot.name, slot.key, _emit_converter(slot)) for slot in model.slots(cls))
+    steps = tuple((slot.name, slot.key, _emit_converter(slot, typed)) for slot in model.slots(cls))
 
     def emit(obj: Any) -> dict[str, Any]:
         tree = {}
@@ -252,6 +258,11 @@ def _emitter(cls: type) -> Callable[[Any], dict[str, Any]]:
 
 
 _emit_root = _emitter(KnowsRecord)
+
+# The canonical root with each value (or list item) of exactly the class its
+# root field declares left as it is, for K001 to read the findings it keeps
+# (see :mod:`knows_sidecar.schema`); everything else emits as in the tree.
+typed_root = _emitter(KnowsRecord, typed=True)
 
 
 def record_to_tree(record: KnowsRecord) -> dict[str, Any]:

@@ -38,6 +38,14 @@ class TestGen:
         code = run("gen", "--title", "T", "--author", "A", "--out", str(target))
         assert code == 3
 
+    def test_calls_share_the_parser_but_no_state(self, tmp_path, capsys):
+        first, second = tmp_path / "a.knows.yaml", tmp_path / "b.knows.yaml"
+        assert run("gen", "--title", "T", "--author", "A", "--author", "B", "--out", str(first)) == 0
+        assert run("gen", "--title", "T", "--author", "C", "--out", str(second)) == 0
+        authors = [a["name"] for a in yaml.safe_load(second.read_text())["authors"]]
+        assert authors == ["C"]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_out_defaults_beside_source(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("gen", "--title", "T", "--author", "A", "--source", "doc.pdf") == 0
@@ -147,6 +155,18 @@ class TestQuery:
         )
         assert code == 3
         assert f"cannot read {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_k_below_one_is_usage_error(self, k, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("query", fx("bloom.knows.yaml"), "six levels taxonomy order", "-k", k)
+        assert exc.value.code == 2
+        assert "argument -k" in capsys.readouterr().err
+
+    def test_k_one_answers_from_the_top_result(self, capsys):
+        code = run("query", fx("bloom.knows.yaml"), "six levels taxonomy order", "-k", "1")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["used"] == ["bloom-1956#stmt:c1"]
 
     def test_lines_format(self, capsys):
         run("query", fx("bloom.knows.yaml"), "six levels taxonomy order", "--format", "lines")

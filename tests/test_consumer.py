@@ -67,6 +67,11 @@ class TestScoring:
         record = fixture_record("bloom.knows.yaml")
         assert len(retrieve_top_k(record, Query(BLOOM_QUESTION, k=1))) == 1
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            Query(BLOOM_QUESTION, k=k)
+
     def test_tie_break_by_record_order(self):
         record = make_record(21)
         # give two statements identical texts so their scores tie

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import FIXTURES
+from knows_sidecar import matched
 from knows_sidecar.consumer import parse_page_markers
 from knows_sidecar.errors import EmptyInputError
 from knows_sidecar.matched import (
@@ -186,6 +187,24 @@ class TestNormalization:
         page = "He said:  “the answer\nis  forty-two” loudly."
         assert quote_in_page('the answer is forty-two"', page)
         assert not quote_in_page('the answer is forty-two"', page, normalize=False)
+
+    def test_a_batch_normalizes_each_page_once(self, monkeypatch):
+        pages = {1: "Only this test cites “page one”.", 2: "And\n\tpage  two — here."}
+        quotes = ['"page one"', "page two - here", "page  one", "not there", "And page"]
+        items = [
+            good_item(evidence=[{"source": "paper", "page": 1 + n % 2, "quote": q, "support": "direct"}])
+            for n, q in enumerate(quotes)
+        ]
+        normalized = []
+
+        def counted(text):
+            normalized.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(matched, "normalize_text", counted)
+        verdicts = [validate_matched_output(item, pages).quote_verbatim_ok for item in items]
+        assert verdicts == [True, True, True, False, False]
+        assert sorted(t for t in normalized if t in pages.values()) == sorted(pages.values())
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 import copy
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from knows_sidecar.model import (
     parse_timestamp,
     reader_accepts,
 )
+from knows_sidecar.schema import validate_tree
 from knows_sidecar.serialization import load_record
 
 
@@ -156,7 +158,7 @@ class TestEntityIndex:
 
 
 class TestKeptState:
-    """A loaded record's tree follows the object, as the walk memo does."""
+    """A loaded record's tree and a value's K001 findings follow the object."""
 
     @staticmethod
     def loaded_with_unknown_key():
@@ -180,6 +182,56 @@ class TestKeptState:
         edited = replace(record, title="")
         assert self.k001(edited) == [("title", "string must be non-empty")]
         assert self.k001(record) == [("x_unknown", "unknown field")]
+
+    @staticmethod
+    def with_untitled_artifact():
+        """A record built in memory whose last artifact has an empty title."""
+        record = make_record(4)
+        *kept, last = record.artifacts
+        return replace(record, artifacts=(*kept, replace(last, title="")))
+
+    def test_lint_keeps_findings_on_root_field_values(self):
+        record = self.with_untitled_artifact()
+        path = f"artifacts/{len(record.artifacts) - 1}/title"
+        assert self.k001(record) == [(path, "string must be non-empty")]
+        assert record.artifacts[-1]._k001 == (("title", "string must be non-empty"),)
+        assert vars(record.coverage)["_k001"] == ()
+        # Findings are relative to the value, so a moved value keeps them.
+        moved = replace(record, artifacts=record.artifacts[::-1])
+        assert self.k001(moved) == [("artifacts/0/title", "string must be non-empty")]
+
+    def test_deepcopy_keeps_the_entity_findings(self):
+        record = self.with_untitled_artifact()
+        lint(record)
+        copied = copy.deepcopy(record)
+        assert copied == record and repr(copied) == repr(record)
+        assert vars(copied.artifacts[-1])["_k001"] == (("title", "string must be non-empty"),)
+        assert self.k001(copied) == self.k001(record)
+
+    def test_replace_starts_without_the_entity_findings(self):
+        record = self.with_untitled_artifact()
+        lint(record)
+        fixed = replace(record.artifacts[-1], title="Fixed")
+        assert "_k001" not in vars(fixed)
+        assert self.k001(replace(record, artifacts=(*record.artifacts[:-1], fixed))) == []
+
+    def test_values_of_other_classes_take_the_emitted_path(self):
+        record = make_record(4)
+        # A value of another class is emitted, so it raises as `record_to_tree` does.
+        with pytest.raises(AttributeError):
+            lint(replace(record, artifacts=record.statements))
+        # A typed value is its kept findings only at the node its field's class fills.
+        assert ("artifacts/0", "expected object") in validate_tree({"artifacts": [record.coverage]})
+
+    def test_the_values_of_root_fields_keep_findings(self):
+        # EntityId, SpecVersion, Profile and Ref values are written as strings.
+        kept = {c for c in vars(model).values() if isinstance(c, type) and "_k001" in vars(c)}
+        assert all(isinstance(vars(cls)["_k001"], cached_property) for cls in kept)
+        assert kept == {
+            model.Author, model.Coverage, model.Artifact, model.Statement, model.Evidence,
+            model.Relation, model.Provenance, model.VersionTriple, model.Freshness,
+            model.Action, model.ExternalMetadataRef,
+        }
 
 
 class TestEntityLayout:

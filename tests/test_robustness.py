@@ -8,7 +8,9 @@ keys and removes keys.  Each mutated document goes through ``load_record``,
 ``SidecarCache``.  ``lint`` never raises; every other stage raises only
 ``KnowsError``, and the second ``only`` answer equals the first.  On the same
 documents, K001 finds nothing exactly when an off-the-shelf JSON Schema
-validator accepts the tree, but for one pinned divergence.
+validator accepts the tree, but for one pinned divergence.  Copies of the
+loaded records made with ``dataclasses.replace``, and copies derived from
+those, lint as the reference path does: K001 on the re-emitted tree.
 
 The default profile runs a modest number of examples.  For a long run:
 
@@ -16,6 +18,7 @@ The default profile runs a modest number of examples.  For a long run:
 """
 
 import copy
+from dataclasses import fields, replace
 
 import yaml
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +27,15 @@ from helpers import FIXTURES, RECORD_ORACLE
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.errors import KnowsError
 from knows_sidecar.graph import Registry, build_graph, export_edge_list, resolve, trace
-from knows_sidecar.linter import lint
+from knows_sidecar.linter import (
+    check_crossrefs,
+    check_discoverability,
+    check_id_prefixes,
+    check_id_uniqueness,
+    check_predicates,
+    check_schema,
+    lint,
+)
 from knows_sidecar.projection import token_report
 from knows_sidecar.schema import validate_tree
 from knows_sidecar.serialization import document_tree, emit_record, load_record
@@ -161,3 +172,64 @@ def test_k001_agrees_with_jsonschema(doc):
     assert (not findings) == (RECORD_ORACLE.is_valid(tree) and not pinned)
     if pinned:
         assert ("year", "expected integer") in findings
+
+
+# The root fields whose values keep their own K001 findings.
+LIST_FIELDS = [
+    "authors", "artifacts", "statements", "evidence", "relations", "actions",
+    "external_metadata_refs",
+]
+SINGLE_FIELDS = ["coverage", "provenance", "version", "freshness"]
+edits = st.one_of(
+    st.tuples(st.sampled_from(LIST_FIELDS), st.sampled_from(["drop", "reverse", "repeat", "fresh", "edit"])),
+    st.tuples(st.sampled_from(SINGLE_FIELDS), st.sampled_from(["fresh", "edit", "none"])),
+)
+
+
+def _blank_first_field(value):
+    return replace(value, **{fields(value)[0].name: ""})
+
+
+def _edited(record, name, op):
+    """A copy sharing every value of ``record`` but the ones ``op`` makes or moves."""
+    value = getattr(record, name)
+    if op == "none" or value is None:
+        return replace(record, **{name: None})
+    if name in SINGLE_FIELDS:
+        return replace(record, **{name: replace(value) if op == "fresh" else _blank_first_field(value)})
+    if op == "drop":
+        value = value[1:]
+    elif op == "reverse":
+        value = value[::-1]
+    elif op == "repeat":
+        value = value + value[:1]
+    elif value:
+        first = replace(value[0]) if op == "fresh" else _blank_first_field(value[0])
+        value = (first, *value[1:])
+    return replace(record, **{name: value})
+
+
+def _reference_findings(record):
+    """What lint finds by the reference path: K001 on the re-emitted tree."""
+    findings = check_schema(document_tree(record)) + check_crossrefs(record)
+    for check in (check_id_uniqueness, check_id_prefixes, check_predicates, check_discoverability):
+        findings += check(record)
+    findings.sort(key=lambda f: (str(f.path), f.code.value))
+    return tuple(findings)
+
+
+@settings(deadline=None)
+@given(mutated_documents(), st.lists(edits, max_size=3))
+def test_in_memory_lint_agrees_with_the_reference_path(doc, changes):
+    try:
+        record, _ = load_record(doc)
+    except KnowsError:
+        return
+    # Cold: no value of the copy has kept findings yet.
+    copied = replace(record)
+    assert lint(copied).findings == _reference_findings(copied)
+    # Warm: each derived copy is linted after the values it shares were.
+    for name, op in changes:
+        copied = _edited(copied, name, op)
+        assert lint(copied).findings == _reference_findings(copied)
+    assert lint(copy.deepcopy(copied)).findings == _reference_findings(copied)

@@ -22,7 +22,7 @@ from .errors import KnowsError
 from .graph import Registry, build_graph, export_edge_list, resolve, trace, version_chain
 from .linter import LintReport, lint, render_lines, render_text
 from .model import Author, Identifiers, Locator, parse_profile
-from .projection import ProjectionCondition, project, token_report
+from .projection import ProjectionCondition, count_tokens, emit_projections, project
 from .scaffold import ScaffoldInput, scaffold_record, sidecar_filename
 from .serialization import emit_record, load_record
 
@@ -192,8 +192,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_project(args: argparse.Namespace) -> int:
     record = _read_record(args.file)
-    projected = project(record, args.condition)
-    payload = emit_record(projected)
+    if args.tokens:
+        emitted = emit_projections(record)
+        payload = emitted[args.condition]
+    else:
+        payload = emit_record(project(record, args.condition))
     if args.out:
         try:
             Path(args.out).write_bytes(payload)
@@ -203,11 +206,11 @@ def cmd_project(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(payload.decode("utf-8"))
     if args.tokens:
-        counts = token_report(record)
+        counts = {name: count_tokens(data) for name, data in emitted.items()}
         full = counts["full"]
         for name, count in counts.items():
             print(f"# tokens {name}={count}", file=sys.stderr)
-        savings = 1.0 - counts[str(args.condition)] / full if full else 0.0
+        savings = 1.0 - counts[args.condition] / full if full else 0.0
         print(f"# savings_vs_full={savings:.4f}", file=sys.stderr)
     return EXIT_OK
 

@@ -58,10 +58,13 @@ def _numeric_targets(record: KnowsRecord) -> list[tuple[int, int]]:
 
 
 def _confidence_targets(record: KnowsRecord) -> list[int]:
+    # A loaded record keeps a claim strength that is not a string as it is.
     return [
         i
         for i, s in enumerate(record.statements)
-        if s.confidence is not None and s.confidence.claim_strength in _STRENGTH_UP
+        if s.confidence is not None
+        and isinstance(s.confidence.claim_strength, str)
+        and s.confidence.claim_strength in _STRENGTH_UP
     ]
 
 

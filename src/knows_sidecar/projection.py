@@ -1,9 +1,11 @@
 """Record projections for ablation studies, plus token accounting.
 
 Each projection drops whole collections (never individual fields inside a
-retained entity) so the result is still a valid record.  Token counts use a
-pluggable tokenizer; the default approximates subword tokenizers as one token
-per four UTF-8 bytes, rounded up.
+retained entity) so the result is still a valid record.  The four projections
+of a record share every other root field, so :func:`emit_projections` emits
+each shared root run once; the bytes are those of emitting each projection on
+its own.  Token counts use a pluggable tokenizer; the default approximates
+subword tokenizers as one token per four UTF-8 bytes, rounded up.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .model import KnowsRecord
-from .serialization import emit_record
+from .serialization import emit_record, emit_records
 
 
 class ProjectionCondition(str, Enum):
@@ -69,11 +71,27 @@ def record_tokens(
     return count_tokens(emit_record(project(record, condition)), tokenizer)
 
 
+def emit_projections(record: KnowsRecord) -> dict[str, bytes]:
+    """The canonical emission of the record under each projection condition.
+
+    Each root run the projections share is emitted once; every value equals
+    ``emit_record(project(record, condition))``.
+    """
+    projected = [project(record, condition) for condition in ProjectionCondition]
+    return {
+        condition.value: data
+        for condition, data in zip(ProjectionCondition, emit_records(projected))
+    }
+
+
 def token_report(
     record: KnowsRecord, tokenizer: Optional[TokenizerPort] = None
 ) -> dict[str, int]:
-    """Token cost per projection condition, canonical emission each time."""
+    """Token cost per projection condition, counted on :func:`emit_projections`.
+
+    Each shared root run is emitted once, byte-identical to a canonical
+    emission of each projection.
+    """
     return {
-        condition.value: record_tokens(record, condition, tokenizer)
-        for condition in ProjectionCondition
+        name: count_tokens(data, tokenizer) for name, data in emit_projections(record).items()
     }

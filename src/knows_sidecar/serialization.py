@@ -15,7 +15,8 @@ import datetime
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import cache
-from typing import Any, Callable, Optional
+from itertools import combinations
+from typing import Any, Callable, Optional, Sequence
 
 import yaml
 
@@ -234,17 +235,23 @@ def _emit_converter(slot: model.Slot, typed: bool) -> Optional[Callable[[Any], A
 
 
 @cache
-def _emitter(cls: type, typed: bool = False) -> Callable[[Any], dict[str, Any]]:
+def _emit_steps(cls: type, typed: bool = False) -> tuple:
+    """Each field of ``cls`` as (attribute, key, converter or None)."""
+    return tuple((slot.name, slot.key, _emit_converter(slot, typed)) for slot in model.slots(cls))
+
+
+@cache
+def _emitter(cls: type, typed: bool = False) -> Callable[..., dict[str, Any]]:
     """Compile the canonical tree builder of one dataclass from its field table.
 
-    Each step is (attribute, key, converter or None).  A converter sees only
-    values that are not None; a None value or result drops the key, and an
-    optional list that is empty drops it too.  When ``typed``, a field's
-    dataclass value (or item) of exactly its declared class stays as it is.
+    A converter sees only values that are not None; a None value or result
+    drops the key, and an optional list that is empty drops it too.  When
+    ``typed``, a field's dataclass value (or item) of exactly its declared
+    class stays as it is.  Passing a slice of ``_emit_steps(cls, typed)``
+    builds the tree of those fields only.
     """
-    steps = tuple((slot.name, slot.key, _emit_converter(slot, typed)) for slot in model.slots(cls))
 
-    def emit(obj: Any) -> dict[str, Any]:
+    def emit(obj: Any, steps: tuple = _emit_steps(cls, typed)) -> dict[str, Any]:
         tree = {}
         for attr, key, convert in steps:
             value = getattr(obj, attr)
@@ -283,61 +290,155 @@ _C_UNSAFE_CHAR = re.compile("[\x85\ud800-\udfff\U00010000-\U0010ffff]").search
 _C_MAX_STR = 10_000  # even escaped (6 columns a character), far inside the width of 100000
 _C_MAX_KEY = 64
 _C_MAX_DEPTH = 64
-_C_SCALARS = frozenset({bool, int, float, type(None), datetime.date, datetime.datetime})
+_C_DATES = frozenset({datetime.date, datetime.datetime})
+# Scalars the emitter never gives an anchor; any other value met twice in one
+# document is written once with an anchor and then as an alias.
+_UNALIASED = frozenset({bool, int, float, type(None)})
+_ignore_aliases = yaml.representer.SafeRepresenter.ignore_aliases
 
 
-def _in_c_domain(tree: Any) -> bool:
-    """True when libyaml emits ``tree`` exactly as the pure emitter does.
+def _scan(tree: Any) -> tuple[bool, Optional[set[int]]]:
+    """Check ``tree`` against libyaml's domain and collect its aliasable nodes.
 
-    A list or mapping met twice (a YAML alias) also sends the tree to the
-    pure emitter, which keeps this walk linear on alias-heavy trees.
+    Returns whether libyaml emits ``tree`` exactly as the pure emitter does,
+    and the ids of the nodes in it that a YAML alias could share.  A node met
+    twice is an alias: the ids are then None and the tree goes to the pure
+    emitter, which also keeps this walk linear on alias-heavy trees.
     """
     stack = [(tree, 0)]
-    seen: set[int] = set()
+    nodes: set[int] = set()
+    c_domain = True
     while stack:
         node, depth = stack.pop()
         kind = type(node)
         if kind is str:
             if len(node) > _C_MAX_STR or (not node.isascii() and _C_UNSAFE_CHAR(node)):
-                return False
+                c_domain = False
         elif kind is dict or kind is list:
-            if depth == _C_MAX_DEPTH or id(node) in seen:
-                return False
-            seen.add(id(node))
+            if id(node) in nodes:
+                return False, None
+            nodes.add(id(node))
+            c_domain = c_domain and depth < _C_MAX_DEPTH
             if kind is list:
                 stack.extend((value, depth + 1) for value in node)
                 continue
             for key, value in node.items():
-                if not (
-                    type(key) is str
-                    and 0 < len(key) <= _C_MAX_KEY
-                    and key.isascii()
-                    and key.isprintable()
-                ):
-                    return False
+                if type(key) is not str:
+                    c_domain = False
+                    stack.append((key, depth + 1))
+                elif not (0 < len(key) <= _C_MAX_KEY and key.isascii() and key.isprintable()):
+                    c_domain = False
                 stack.append((value, depth + 1))
-        elif kind not in _C_SCALARS:
-            return False
-    return True
+        elif kind in _UNALIASED:
+            pass
+        elif _ignore_aliases(None, node):
+            c_domain = False
+        elif id(node) in nodes:
+            return False, None
+        else:
+            nodes.add(id(node))
+            c_domain = c_domain and kind in _C_DATES
+    return c_domain, nodes
+
+
+_DUMP_OPTIONS = dict(sort_keys=False, allow_unicode=True, default_flow_style=False, width=100000)
+_EMPTY_ROOT = yaml.dump({}, Dumper=yaml.SafeDumper, **_DUMP_OPTIONS).encode("utf-8")
+
+
+def _dump(tree: dict[str, Any], c_domain: bool) -> bytes:
+    """The block-style YAML of a root mapping; b"" when it is empty."""
+    if not tree:
+        return b""
+    dumper = _C_DUMPER if _C_DUMPER is not None and c_domain else yaml.SafeDumper
+    try:
+        text = yaml.dump(tree, Dumper=dumper, **_DUMP_OPTIONS)
+    except RecursionError as exc:
+        raise EmissionError("cannot emit record: a value is nested too deeply") from exc
+    return text.encode("utf-8")
+
+
+_ROOT_STEPS = _emit_steps(KnowsRecord)
+
+
+def _runs(records: Sequence[KnowsRecord]) -> list[tuple[int, int]]:
+    """Split the root fields into runs, as (start, stop) step indices.
+
+    A maximal stretch of fields whose values are the same objects in every
+    record is one run; each other field is a run of its own.
+    """
+    first, rest = records[0], records[1:]
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for i, (attr, _, _) in enumerate(_ROOT_STEPS):
+        value = getattr(first, attr)
+        if any(getattr(r, attr) is not value for r in rest):
+            if start < i:
+                runs.append((start, i))
+            runs.append((i, i + 1))
+            start = i + 1
+    if start < len(_ROOT_STEPS):
+        runs.append((start, len(_ROOT_STEPS)))
+    return runs
+
+
+def emit_records(records: Sequence[KnowsRecord]) -> list[bytes]:
+    """Serialize records canonically, emitting each root run they share once.
+
+    Records that share field values, as ``dataclasses.replace`` copies do,
+    split their root fields into the same runs (see :func:`_runs`).  Each
+    distinct run is dumped once, and a record's bytes join its runs' bytes.
+    Entries of a block-style root mapping do not depend on their neighbours,
+    so the join is byte-identical to dumping the record's whole tree, as
+    long as no node of that tree gets a YAML anchor: anchors are numbered
+    across the document.  A record with a node met twice is dumped whole.
+    Each run takes its own libyaml or pure emitter.
+
+    Raises :class:`EmissionError` for a value nested too deeply for the pure
+    emitter, which recurses once per level.
+    """
+    if not records:
+        return []
+    runs = _runs(records)
+    # Run trees stay alive until every record is emitted, so no id is reused.
+    scanned: dict[tuple[int, int], tuple[dict[str, Any], bool, Optional[set[int]]]] = {}
+    dumped: dict[tuple[int, int], bytes] = {}
+    out = []
+    for record in records:
+        keys = []
+        for start, stop in runs:
+            # The first field's value tells the run apart: a stretch is shared.
+            key = (start, id(getattr(record, _ROOT_STEPS[start][0])))
+            if key not in scanned:
+                tree = _emit_root(record, _ROOT_STEPS[start:stop])
+                scanned[key] = (tree, *_scan(tree))
+            keys.append(key)
+        if len(keys) > 1 and not _disjoint([scanned[key][2] for key in keys]):
+            # A node met twice keeps the whole tree on the pure emitter.
+            whole = {}
+            for key in keys:
+                whole.update(scanned[key][0])
+            out.append(_dump(whole, c_domain=False))
+            continue
+        for key in keys:
+            if key not in dumped:
+                tree, c_domain, _ = scanned[key]
+                dumped[key] = _dump(tree, c_domain)
+        out.append(b"".join(dumped[key] for key in keys) or _EMPTY_ROOT)
+    return out
+
+
+def _disjoint(node_sets: list[Optional[set[int]]]) -> bool:
+    """True when no node occurs twice across the runs of one record."""
+    if None in node_sets:
+        return False
+    return all(a.isdisjoint(b) for a, b in combinations(node_sets, 2))
 
 
 def emit_record(record: KnowsRecord) -> bytes:
     """Serialize a record canonically; two emissions are byte-identical.
 
+    The one-record case of :func:`emit_records`: one run holds every field.
     Raises :class:`EmissionError` for a value nested too deeply for the pure
     emitter, which recurses once per level.
     """
-    tree = record_to_tree(record)
-    dumper = _C_DUMPER if _C_DUMPER is not None and _in_c_domain(tree) else yaml.SafeDumper
-    try:
-        text = yaml.dump(
-            tree,
-            Dumper=dumper,
-            sort_keys=False,
-            allow_unicode=True,
-            default_flow_style=False,
-            width=100000,
-        )
-    except RecursionError as exc:
-        raise EmissionError("cannot emit record: a value is nested too deeply") from exc
-    return text.encode("utf-8")
+    return emit_records((record,))[0]

@@ -50,6 +50,13 @@ DEEP_DOC = (
     + "\n"
 )
 
+# The bloom fixture with a claim strength that is a list, not a string.
+LIST_CLAIM_STRENGTH_DOC = (FIXTURES / "bloom.knows.yaml").read_bytes().replace(
+    b"\nstatements:\n  - ",
+    b"\nstatements:\n  - confidence: {claim_strength: [high], extraction_fidelity: high}\n    ",
+    1,
+)
+
 _FORMATS = jsonschema.FormatChecker()
 
 

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
-from helpers import DEEP_DOC, FIXTURES, make_record
+from helpers import DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, make_record
 from knows_sidecar import cli
-from knows_sidecar.serialization import emit_record
+from knows_sidecar.projection import project
+from knows_sidecar.serialization import emit_record, load_record
 
 MOORE_QUESTION = (
     "Why does Moore argue that heat dissipation will not be a fundamental "
@@ -234,10 +236,13 @@ class TestGraph:
         assert capsys.readouterr().out.splitlines() == expected
 
 
+CONDITIONS = ["full", "minus_relations", "minus_evidence", "statements_only"]
+# The frozen token counts of the techreport fixture, in CONDITIONS order.
+TECHREPORT_TOKENS = [5455, 4516, 3248, 2520]
+
+
 class TestProject:
-    @pytest.mark.parametrize(
-        "condition", ["full", "minus_relations", "minus_evidence", "statements_only"]
-    )
+    @pytest.mark.parametrize("condition", CONDITIONS)
     def test_projection_lints_clean(self, tmp_path, condition):
         out = tmp_path / "p.knows.yaml"
         code = run(
@@ -245,6 +250,15 @@ class TestProject:
         )
         assert code == 0
         assert run("lint", str(out)) == 0
+
+    @pytest.mark.parametrize("tokens", [(), ("--tokens",)])
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_out_is_the_projection_emitted(self, tmp_path, condition, tokens):
+        out = tmp_path / "p.knows.yaml"
+        path = fx("techreport.knows.yaml")
+        assert run("project", path, "--condition", condition, "--out", str(out), *tokens) == 0
+        record, _ = load_record(Path(path).read_bytes())
+        assert out.read_bytes() == emit_record(project(record, condition))
 
     def test_tokens_report(self, tmp_path, capsys):
         out = tmp_path / "p.knows.yaml"
@@ -263,9 +277,8 @@ class TestProject:
             if line.startswith("# tokens "):
                 name, value = line.removeprefix("# tokens ").split("=")
                 counts[name] = int(value)
-        ordered = [counts[c] for c in ("full", "minus_relations", "minus_evidence", "statements_only")]
-        assert ordered == sorted(ordered, reverse=True)
-        assert "# savings_vs_full=" in err
+        assert counts == dict(zip(CONDITIONS, TECHREPORT_TOKENS))
+        assert f"# savings_vs_full={1 - 2520 / 5455:.4f}" in err
 
     @pytest.mark.parametrize("tokens", [(), ("--tokens",)])
     def test_value_nested_too_deeply_is_io_error(self, tmp_path, capsys, tokens):
@@ -291,6 +304,11 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "omit_limitation 4 4" in out
         assert "wrong_number 4 0" in out
+
+    def test_corpus_with_list_claim_strength(self, tmp_path, capsys):
+        (tmp_path / "b.knows.yaml").write_bytes(LIST_CLAIM_STRENGTH_DOC)
+        assert run("audit", "--corpus", str(tmp_path)) == 0
+        assert "inflate_confidence 0 0" in capsys.readouterr().out
 
     def test_gate_mode(self, capsys):
         code = run(

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_record
+from helpers import LIST_CLAIM_STRENGTH_DOC, make_record
 from knows_sidecar.corruption import (
     InjectionKind,
     applicable,
@@ -12,6 +12,7 @@ from knows_sidecar.corruption import (
 )
 from knows_sidecar.errors import NotApplicableError
 from knows_sidecar.linter import LintCode, lint
+from knows_sidecar.serialization import load_record
 
 
 class TestApplicability:
@@ -31,6 +32,12 @@ class TestApplicability:
     def test_high_confidence_cannot_inflate(self):
         record = make_record(3, soft_confidence=False)
         assert not applicable(record, InjectionKind.INFLATE_CONFIDENCE)
+
+    def test_claim_strength_that_is_not_a_string_does_not_qualify(self):
+        record, _ = load_record(LIST_CLAIM_STRENGTH_DOC)
+        assert not applicable(record, InjectionKind.INFLATE_CONFIDENCE)
+        report = run_study([record])
+        assert report.by_kind(InjectionKind.INFLATE_CONFIDENCE).applicable == 0
 
     def test_inject_raises_without_target(self):
         record = make_record(4, numeric=False)

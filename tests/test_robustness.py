@@ -3,14 +3,17 @@
 A Hypothesis strategy mutates the fixture trees: it sets values to junk, adds
 keys and removes keys.  Each mutated document goes through ``load_record``,
 ``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list``,
-``token_report``, a ``Registry`` with ``resolve`` of every entity ID, and
+``token_report``, a ``Registry`` with ``resolve`` of every entity ID,
 ``consume`` in ``only`` mode (twice) and ``fallback`` mode through one
-``SidecarCache``.  ``lint`` never raises; every other stage raises only
-``KnowsError``, and the second ``only`` answer equals the first.  On the same
-documents, K001 finds nothing exactly when an off-the-shelf JSON Schema
-validator accepts the tree, but for one pinned divergence.  Copies of the
-loaded records made with ``dataclasses.replace``, and copies derived from
-those, lint as the reference path does: K001 on the re-emitted tree.
+``SidecarCache``, and ``run_study`` over the one record.  ``lint`` never
+raises; every other stage raises only ``KnowsError``, and the second ``only``
+answer equals the first.  On the same documents, K001 finds nothing exactly
+when an off-the-shelf JSON Schema validator accepts the tree, but for one
+pinned divergence; and emitting the four projections together, each shared
+root run once, gives the bytes and token counts of emitting each projection
+alone.  Copies of the loaded records made with ``dataclasses.replace``, and
+copies derived from those, lint as the reference path does: K001 on the
+re-emitted tree.
 
 The default profile runs a modest number of examples.  For a long run:
 
@@ -18,14 +21,17 @@ The default profile runs a modest number of examples.  For a long run:
 """
 
 import copy
+import datetime
 from dataclasses import fields, replace
 
+import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import FIXTURES, RECORD_ORACLE
+from helpers import DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, RECORD_ORACLE
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
-from knows_sidecar.errors import KnowsError
+from knows_sidecar.corruption import run_study
+from knows_sidecar.errors import EmissionError, KnowsError
 from knows_sidecar.graph import Registry, build_graph, export_edge_list, resolve, trace
 from knows_sidecar.linter import (
     check_crossrefs,
@@ -36,7 +42,13 @@ from knows_sidecar.linter import (
     check_schema,
     lint,
 )
-from knows_sidecar.projection import token_report
+from knows_sidecar.projection import (
+    ProjectionCondition,
+    byte_tokenizer,
+    emit_projections,
+    project,
+    token_report,
+)
 from knows_sidecar.schema import validate_tree
 from knows_sidecar.serialization import document_tree, emit_record, load_record
 
@@ -140,15 +152,20 @@ def _registry_stages(record):
     )
 
 
+def _study_stage(record):
+    run_study([record])
+
+
 @settings(deadline=None)
 @given(mutated_documents())
+@example(LIST_CLAIM_STRENGTH_DOC)
 def test_stages_fail_only_with_knows_errors(doc):
     try:
         record, _ = load_record(doc)
     except KnowsError:
         return
     lint(record)
-    for stage in (emit_record, _graph_stages, token_report, _registry_stages):
+    for stage in (emit_record, _graph_stages, token_report, _registry_stages, _study_stage):
         try:
             stage(record)
         except KnowsError:
@@ -172,6 +189,47 @@ def test_k001_agrees_with_jsonschema(doc):
     assert (not findings) == (RECORD_ORACLE.is_valid(tree) and not pinned)
     if pinned:
         assert ("year", "expected integer") in findings
+
+
+def _moore_with(**fields):
+    """The moore fixture with root fields set, aliases written as YAML aliases."""
+    tree = dict(BASE_TREES[2], **fields)
+    return yaml.dump(tree, Dumper=yaml.SafeDumper, sort_keys=False, allow_unicode=True).encode("utf-8")
+
+
+SHARED_LIST = ["a", {"b": 1}]
+WHEN = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
+
+
+def _line_tokenizer(data: bytes) -> int:
+    return data.count(b"\n")
+
+
+@settings(deadline=None)
+@given(mutated_documents())
+@example(_moore_with(resources=SHARED_LIST, extensions={"x_r": SHARED_LIST}))
+@example(_moore_with(title=SHARED_LIST, resources=[SHARED_LIST]))
+@example(_moore_with(title=WHEN, extensions={"x_t": WHEN}))
+@example(_moore_with(extensions={"x_a": SHARED_LIST, "x_b": SHARED_LIST}))
+@example(_moore_with(title="Heat \U0001f600 on one chip"))
+@example(DEEP_DOC.encode("utf-8"))
+def test_shared_runs_emit_as_each_projection_alone(doc):
+    try:
+        record, _ = load_record(doc)
+    except KnowsError:
+        return
+    try:
+        reference = {c.value: emit_record(project(record, c)) for c in ProjectionCondition}
+    except EmissionError:
+        with pytest.raises(EmissionError):
+            emit_projections(record)
+        with pytest.raises(EmissionError):
+            token_report(record)
+        return
+    assert emit_projections(record) == reference
+    for tokenizer in (byte_tokenizer, _line_tokenizer):
+        expected = {name: tokenizer(data) for name, data in reference.items()}
+        assert token_report(record, tokenizer) == expected
 
 
 # The root fields whose values keep their own K001 findings.

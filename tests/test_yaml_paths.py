@@ -178,14 +178,14 @@ OUT_OF_DOMAIN["alias"] = {"a": SHARED, "b": SHARED}
 @pytest.mark.parametrize("value", OUT_OF_DOMAIN.values(), ids=list(OUT_OF_DOMAIN))
 def test_out_of_domain_trees_take_the_pure_path(value):
     record = dataclasses.replace(BASE, extensions={"x_probe": value})
-    assert not serialization._in_c_domain(record_to_tree(record))
+    assert not serialization._scan(record_to_tree(record))[0]
     assert emit_record(record) == pure_emit(record)
 
 
 def test_fixtures_emit_through_libyaml():
     for path in sorted(FIXTURES.glob("*.knows.yaml")):
         record, _ = load_record(path.read_bytes())
-        assert serialization._in_c_domain(record_to_tree(record)), path.name
+        assert serialization._scan(record_to_tree(record))[0], path.name
 
 
 @needs_libyaml

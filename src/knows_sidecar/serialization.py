@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Any, Callable, Optional, Sequence
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import model
 from .errors import EmissionError, MalformedError, RecordSyntaxError, TypeMismatchError
@@ -68,7 +69,13 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     except UnicodeDecodeError as exc:
         raise RecordSyntaxError(f"not UTF-8: {exc}") from exc
     try:
-        docs = list(yaml.load_all(text, Loader=_LOADER))
+        loader = _LOADER(text)
+        try:
+            docs = []
+            while loader.check_node():
+                docs.append(_construct_document(loader, loader.get_node()))
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise RecordSyntaxError(f"invalid YAML: {exc}") from exc
     except (AttributeError, LookupError, ValueError) as exc:
@@ -95,6 +102,77 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     # The record is frozen; kept state goes straight into its instance dict.
     vars(record)["_source_tree"] = tree
     return record, UnknownFieldLog(tuple(log))
+
+
+_STR = "tag:yaml.org,2002:str"
+_MAP = "tag:yaml.org,2002:map"
+_SEQ = "tag:yaml.org,2002:seq"
+# Keys PyYAML's mapping constructor rewrites: ``<<`` merges, ``=`` is a string.
+_REWRITTEN_KEYS = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
+_MAX_CONSTRUCT_DEPTH = 100
+_BUILDING = object()
+
+
+class _Unbuilt(Exception):
+    """A node the one-pass construction leaves to PyYAML's own pass."""
+
+
+def _construct(node: Any, depth: int, memo: dict, construct: Callable[[Any], Any]) -> Any:
+    """Build the object of a node graph in one recursive walk.
+
+    Plain strings, mappings and sequences are built here; every other scalar
+    goes to the loader's own ``construct``, whose memo keeps an aliased
+    timestamp one object.  ``memo`` maps each collection node to its object,
+    so an alias shares it.  Raises :class:`_Unbuilt` for what PyYAML's
+    generic pass handles otherwise: a recursive alias, a merge or ``=`` key,
+    a collection key, any other collection tag, and deep nesting.
+    """
+    kind = node.__class__
+    if kind is ScalarNode:
+        return node.value if node.tag == _STR else construct(node)
+    data = memo.get(node)
+    if data is not None:
+        if data is _BUILDING:
+            raise _Unbuilt
+        return data
+    if depth > _MAX_CONSTRUCT_DEPTH:
+        raise _Unbuilt
+    memo[node] = _BUILDING
+    depth += 1
+    if kind is MappingNode and node.tag == _MAP:
+        data = {}
+        for key_node, value_node in node.value:
+            if key_node.__class__ is not ScalarNode or key_node.tag in _REWRITTEN_KEYS:
+                raise _Unbuilt
+            key = key_node.value if key_node.tag == _STR else construct(key_node)
+            data[key] = _construct(value_node, depth, memo, construct)
+    elif kind is SequenceNode and node.tag == _SEQ:
+        data = [_construct(item, depth, memo, construct) for item in node.value]
+    else:
+        raise _Unbuilt
+    memo[node] = data
+    return data
+
+
+def _construct_document(loader: Any, node: Any) -> Any:
+    """The object of one document: :func:`_construct`, else PyYAML's own pass.
+
+    A scalar tagged as a collection (``!!map x``) leaves a deferred
+    generator on the loader, which PyYAML's pass runs and raises on; so does
+    any node the walk gives up on.  Either way the loader's state is reset
+    and ``construct_document`` builds the tree or raises its own first error.
+    """
+    try:
+        data = _construct(node, 0, {}, loader.construct_object)
+        if not loader.state_generators:
+            return data
+    except Exception:
+        pass
+    finally:
+        loader.constructed_objects = {}
+    loader.recursive_objects = {}
+    loader.state_generators = []
+    return loader.construct_document(node)
 
 
 def _sequence(value: Any) -> list[Any]:
@@ -341,17 +419,44 @@ def _scan(tree: Any) -> tuple[bool, Optional[set[int]]]:
     return c_domain, nodes
 
 
-_DUMP_OPTIONS = dict(sort_keys=False, allow_unicode=True, default_flow_style=False, width=100000)
+# Options of the emitter proper; the rest only steer the representer.
+_SERIALIZE_OPTIONS = dict(allow_unicode=True, width=100000)
+_DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, **_SERIALIZE_OPTIONS)
 _EMPTY_ROOT = yaml.dump({}, Dumper=yaml.SafeDumper, **_DUMP_OPTIONS).encode("utf-8")
+
+
+_REPRESENTERS = yaml.representer.SafeRepresenter.yaml_representers
+# Its ``alias_key`` stays None, so representing a scalar keeps no state on it.
+_REPRESENTER = yaml.representer.SafeRepresenter()
+
+
+def _node(value: Any) -> Any:
+    """The representation node of a value of a tree in libyaml's domain.
+
+    It is the node ``SafeDumper`` builds with the dump options, without the
+    alias bookkeeping: :func:`_scan` keeps trees with a node met twice out of
+    the domain, and its mapping keys are strings.
+    """
+    kind = type(value)
+    if kind is str:
+        return ScalarNode(_STR, value)
+    if kind is dict:
+        pairs = [(ScalarNode(_STR, k), _node(v)) for k, v in value.items()]
+        return MappingNode(_MAP, pairs, flow_style=False)
+    if kind is list:
+        return SequenceNode(_SEQ, [_node(v) for v in value], flow_style=False)
+    return _REPRESENTERS[kind](_REPRESENTER, value)
 
 
 def _dump(tree: dict[str, Any], c_domain: bool) -> bytes:
     """The block-style YAML of a root mapping; b"" when it is empty."""
     if not tree:
         return b""
-    dumper = _C_DUMPER if _C_DUMPER is not None and c_domain else yaml.SafeDumper
     try:
-        text = yaml.dump(tree, Dumper=dumper, **_DUMP_OPTIONS)
+        if _C_DUMPER is not None and c_domain:
+            text = yaml.serialize(_node(tree), Dumper=_C_DUMPER, **_SERIALIZE_OPTIONS)
+        else:
+            text = yaml.dump(tree, Dumper=yaml.SafeDumper, **_DUMP_OPTIONS)
     except RecursionError as exc:
         raise EmissionError("cannot emit record: a value is nested too deeply") from exc
     return text.encode("utf-8")

@@ -4,18 +4,21 @@
 emits with libyaml only for trees where libyaml's emitter writes the pure
 emitter's bytes.  These tests hold the emitted bytes to the pure emitter on
 any tree, hold the two loaders to the same trees, and pin the few documents
-on which the loaders are known to differ.
+on which the loaders are known to differ.  They also hold ``serialization``'s
+one-pass construction and representation to PyYAML's own passes.
 """
 
 import dataclasses
 import datetime
+import gc
+import math
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import FIXTURES
-from knows_sidecar import cli, serialization
+from knows_sidecar import cli, projection, serialization
 from knows_sidecar.errors import RecordSyntaxError
 from knows_sidecar.model import Author, parse_profile
 from knows_sidecar.scaffold import ScaffoldInput, scaffold_record
@@ -146,6 +149,18 @@ def test_emission_matches_pure_emitter(record):
     assert emit_record(record) == pure_emit(record)
 
 
+@needs_libyaml
+@settings(deadline=None)
+@given(IN_DOMAIN[2])
+@example({"date": datetime.date(2024, 1, 1), "at": datetime.datetime(2024, 1, 1, 12, 30)})
+@example({"floats": [math.nan, math.inf, -math.inf, -0.0, 1e300], "ints": [2**70, -(2**64)]})
+@example({"flags": [True, False, None], "nested": {"a": [{"b": []}, {}]}})
+def test_node_path_matches_representer(tree):
+    assume(serialization._scan(tree)[0])
+    expected = yaml.dump(tree, Dumper=yaml.CSafeDumper, **EMIT_OPTIONS).encode("utf-8")
+    assert serialization._dump(tree, c_domain=True) == (expected if tree else b"")
+
+
 def _nested(depth):
     tree = "leaf"
     for _ in range(depth):
@@ -263,6 +278,55 @@ def test_loaders_build_equal_trees(doc):
         assert fast == pure
 
 
+# Tokens that send a node off the one-pass construction, or past it.
+CONSTRUCT_TOKENS = [
+    "&a ", "*a", "<<: ", "=", "? ", "!!map ", "!!seq ", "!!set ", "!!omap ", "!!str ",
+    "!!binary ", "!!timestamp ",
+]
+
+
+@st.composite
+def tagged_documents(draw):
+    doc = draw(documents())
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(doc)))
+        doc = doc[:at] + draw(st.sampled_from(CONSTRUCT_TOKENS)) + doc[at:]
+    return doc
+
+
+def _constructed(doc, loader_class, construct):
+    """Each document's tree, or the exception its construction raised."""
+    loader = loader_class(doc)
+    try:
+        docs = []
+        while loader.check_node():
+            docs.append(construct(loader, loader.get_node()))
+        return "tree", pure_dump(docs)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    finally:
+        loader.dispose()
+
+
+LOADER_CLASSES = [
+    yaml.SafeLoader,
+    pytest.param(getattr(yaml, "CSafeLoader", None), marks=needs_libyaml, id="CSafeLoader"),
+]
+
+
+@pytest.mark.parametrize("loader_class", LOADER_CLASSES)
+@settings(deadline=None)
+@given(tagged_documents())
+@example("a: &a [b, *a]\n")
+@example("a: &a {b: 1}\nc:\n  <<: *a\n  d: 2\n")
+@example("a: !!map x\n")
+@example("a: " + "[" * 150 + "]" * 150 + "\n")
+def test_construction_matches_construct_document(loader_class, doc):
+    fast = _constructed(doc, loader_class, serialization._construct_document)
+    stock = _constructed(doc, loader_class, lambda loader, node: loader.construct_document(node))
+    assert fast == stock
+
+
 @pytest.fixture(params=["libyaml", "pure"])
 def loader(request, monkeypatch):
     if request.param == "libyaml":
@@ -297,6 +361,13 @@ MALFORMED = [
     "a: !!int abc\n",
     "a: !!bool x\n",
     "a: !!int ''\n",
+    # Tags the node's kind cannot take, a merge of a scalar and an unknown tag.
+    "a: !!map x\n",
+    "a: !!seq x\n",
+    "a: !!set [1]\n",
+    "a: !!str {b: 1}\n",
+    "a: {<<: 1}\n",
+    "a: !custom x\n",
     # Not UTF-8.
     b"a: \xff\n",
 ]
@@ -306,6 +377,22 @@ MALFORMED = [
 def test_malformed_yaml_is_record_syntax_error(loader, doc):
     with pytest.raises(RecordSyntaxError):
         load_record(doc)
+
+
+def test_load_and_emit_leave_no_garbage(loader):
+    # Garbage here is a reference cycle, which keeps a node graph or a dumper
+    # alive until the cyclic collector runs.
+    for path in sorted(FIXTURES.glob("*.knows.yaml")):
+        data = path.read_bytes()
+        gc.collect()
+        gc.disable()
+        try:
+            record, _ = load_record(data)
+            emit_record(record)
+            projection.emit_projections(record)
+            assert gc.collect() == 0, path.name
+        finally:
+            gc.enable()
 
 
 # Documents on which libyaml's loader differs from the pure one.

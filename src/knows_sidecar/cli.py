@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 
 from . import corruption, matched
 from .consumer import Query, consume, page_file_provider, parse_page_markers
-from .errors import KnowsError
+from .errors import InvalidInputError, KnowsError, MalformedError
 from .graph import Registry, build_graph, export_edge_list, resolve, trace, version_chain
 from .linter import LintReport, lint, render_lines, render_text
-from .model import Author, Identifiers, Locator, parse_profile
+from .model import Author, Identifiers, Locator, Profile, parse_profile
 from .projection import ProjectionCondition, count_tokens, emit_projections, project
 from .scaffold import ScaffoldInput, scaffold_record, sidecar_filename
 from .serialization import emit_record, load_record
@@ -92,11 +92,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         title=args.title,
         authors=tuple(Author(name=name) for name in args.author),
         identifiers=identifiers,
-        profile=parse_profile(args.profile),
+        profile=args.profile,
         source_locator=locator,
         license=args.license,
     )
-    record = scaffold_record(spec)
+    try:
+        record = scaffold_record(spec)
+    except InvalidInputError as exc:
+        print(f"gen: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = args.out
     if out is None and args.source and not args.source.startswith(("http://", "https://")):
         out = sidecar_filename(args.source)
@@ -269,6 +273,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _profile(text: str) -> Profile:
+    try:
+        return parse_profile(text)
+    except MalformedError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="knows", description="Sidecar record toolkit")
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url")
     p.add_argument("--source", help="path or URL of the source document")
     p.add_argument("--out", help="output path; defaults to <source>.knows.yaml")
-    p.add_argument("--profile", default="paper@1")
+    p.add_argument("--profile", type=_profile, default="paper@1")
     p.add_argument("--license", default="CC-BY-4.0")
     p.set_defaults(func=cmd_gen)
 

@@ -70,6 +70,34 @@ def _warn(code: LintCode, path: str, message: str) -> LintFinding:
     return LintFinding(code=code, severity="warning", path=path, message=message)
 
 
+# How ``repr`` shows each collection met again inside itself; a set never is.
+_RECURSION = {list: "[...]", tuple: "(...)", dict: "{...}", set: ""}
+
+
+def _shown(value: Any, show: Callable[[Any], str] = repr, outer: frozenset = frozenset()) -> str:
+    """``show(value)``, but with the items of each set sorted.
+
+    A set iterates in an order that string hashing and insertion history
+    decide, so ``show`` alone would word one finding differently from run to
+    run, and for a record and its deep copy.
+    """
+    kind = type(value)
+    if kind not in _RECURSION:
+        return show(value)
+    if id(value) in outer:
+        return _RECURSION[kind]
+    outer |= {id(value)}
+    if kind is dict:
+        pairs = (f"{_shown(k, repr, outer)}: {_shown(v, repr, outer)}" for k, v in value.items())
+        return "{" + ", ".join(pairs) + "}"
+    items = [_shown(v, repr, outer) for v in value]
+    if kind is set:
+        return "{" + ", ".join(sorted(items)) + "}" if items else "set()"
+    if kind is tuple:
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return "[" + ", ".join(items) + "]"
+
+
 # ---------------------------------------------------------------------------
 # Check 1: schema
 
@@ -93,7 +121,7 @@ def _check_refs(
         value = getattr(owner, name)
         ref = as_ref(value)
         if ref is None:
-            message = f"unparseable reference {value!r}"
+            message = f"unparseable reference {_shown(value)}"
         elif ref.is_remote:
             continue
         elif targets is not None and ref.entity.entity_class not in targets:
@@ -118,9 +146,8 @@ def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = No
     _check_refs(record, "", index, findings)
     subject = record.subject_artifact()
     if subject is not None and subject.role != "subject":
-        findings.append(
-            _err(LintCode.CROSSREF, "subject_ref", f"{record.subject_ref} does not have role=subject")
-        )
+        message = f"{_shown(record.subject_ref, str)} does not have role=subject"
+        findings.append(_err(LintCode.CROSSREF, "subject_ref", message))
     for entity, path in entities:
         _check_refs(entity, path + "/", index, findings)
         if (
@@ -132,7 +159,8 @@ def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = No
                 _err(
                     LintCode.CROSSREF,
                     path,
-                    f"extra subject artifact {entity.id}; subject_ref names {record.subject_ref}",
+                    f"extra subject artifact {_shown(entity.id, str)}; "
+                    f"subject_ref names {_shown(record.subject_ref, str)}",
                 )
             )
         # Source anchors name representations of this record only.
@@ -140,7 +168,8 @@ def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = No
             anchor_path = f"{path}/source_anchors/{j}/representation_ref"
             ref = anchor.representation_ref
             if not isinstance(ref, EntityId):
-                findings.append(_err(LintCode.CROSSREF, anchor_path, f"unparseable reference {ref!r}"))
+                message = f"unparseable reference {_shown(ref)}"
+                findings.append(_err(LintCode.CROSSREF, anchor_path, message))
             elif str(ref) not in local_reps:
                 findings.append(_err(LintCode.CROSSREF, anchor_path, f"dangling reference {ref}"))
 
@@ -159,7 +188,7 @@ def check_id_uniqueness(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     seen: dict[str, str] = {}
     for entity, path in record.entities():
-        rendered = str(entity.id)
+        rendered = _shown(entity.id, str) if type(entity.id) in _RECURSION else str(entity.id)
         if rendered in seen:
             findings.append(
                 _err(
@@ -183,7 +212,7 @@ def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
         cls = ENTITY_CLASS[type(entity)]
         expected = CLASS_PREFIX[cls]
         if not isinstance(entity.id, EntityId):
-            message = f"unparseable entity id {entity.id!r}"
+            message = f"unparseable entity id {_shown(entity.id)}"
         elif entity.id.prefix != expected:
             message = f"{cls} id must use prefix '{expected}:', got {entity.id}"
         else:
@@ -244,7 +273,8 @@ def check_discoverability(record: KnowsRecord) -> list[LintFinding]:
                 _err(
                     LintCode.DISCOVERABILITY,
                     f"artifacts/{i}",
-                    f"artifact {art.id} has neither an identifier nor a located representation",
+                    f"artifact {_shown(art.id, str)} has neither an identifier nor a located "
+                    "representation",
                 )
             )
         if str(art.id) == str(record.subject_ref) and not has_representation:
@@ -252,7 +282,8 @@ def check_discoverability(record: KnowsRecord) -> list[LintFinding]:
                 _err(
                     LintCode.DISCOVERABILITY,
                     f"artifacts/{i}",
-                    f"subject artifact {art.id} must carry at least one representation",
+                    f"subject artifact {_shown(art.id, str)} must carry at least one "
+                    "representation",
                 )
             )
     return findings

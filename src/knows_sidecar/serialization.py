@@ -15,7 +15,6 @@ import datetime
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import cache
-from itertools import combinations
 from typing import Any, Callable, Optional, Sequence
 
 import yaml
@@ -56,17 +55,14 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     """Decode one YAML document into a typed record plus an unknown-field log.
 
-    Raises :class:`RecordSyntaxError` for bytes that are not UTF-8, malformed
-    YAML or multi-document streams and :class:`TypeMismatchError` when the
-    root is not a mapping.
+    Raises :class:`RecordSyntaxError` for bytes that are not UTF-8 (or a str
+    with a lone surrogate), malformed YAML or multi-document streams and
+    :class:`TypeMismatchError` when the root is not a mapping.
     """
-    if isinstance(data, str):
-        raw = data.encode("utf-8")
-    else:
-        raw = bytes(data)
     try:
+        raw = data.encode("utf-8") if isinstance(data, str) else bytes(data)
         text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise RecordSyntaxError(f"not UTF-8: {exc}") from exc
     try:
         loader = _LOADER(text)
@@ -355,108 +351,107 @@ def record_to_tree(record: KnowsRecord) -> dict[str, Any]:
     return _emit_root(record)
 
 
-# libyaml's emitter writes the pure emitter's bytes only for trees in a
+# Each tree is represented by one walk, :func:`_node`, which also picks the
+# emitter: libyaml's writes the pure emitter's bytes only for trees in a
 # narrower domain.  Outside it libyaml escapes code points above U+FFFF,
 # raises on lone surrogates, escapes U+0085 differently, folds long
 # double-quoted lines at other columns, and picks the ``? key`` form for other
-# keys (it measures keys in bytes, the pure emitter in characters).  Deeply
-# nested trees stay on the pure path too; one too deep for Python's recursion
-# limit raises EmissionError there.  Trees outside the domain go through the
-# pure emitter, so every byte is the same.
-_C_DUMPER = getattr(yaml, "CSafeDumper", None)
+# keys (it measures keys in bytes, the pure emitter in characters).  Deep
+# nesting, aliases and values of other kinds stay on the pure emitter too.
+_C_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _C_UNSAFE_CHAR = re.compile("[\x85\ud800-\udfff\U00010000-\U0010ffff]").search
 _C_MAX_STR = 10_000  # even escaped (6 columns a character), far inside the width of 100000
 _C_MAX_KEY = 64
 _C_MAX_DEPTH = 64
 _C_DATES = frozenset({datetime.date, datetime.datetime})
-# Scalars the emitter never gives an anchor; any other value met twice in one
-# document is written once with an anchor and then as an alias.
+_COLLECTIONS = frozenset({dict, list, tuple, set})
+# Scalars the representer never gives an anchor, by exact type.
 _UNALIASED = frozenset({bool, int, float, type(None)})
 _ignore_aliases = yaml.representer.SafeRepresenter.ignore_aliases
-
-
-def _scan(tree: Any) -> tuple[bool, Optional[set[int]]]:
-    """Check ``tree`` against libyaml's domain and collect its aliasable nodes.
-
-    Returns whether libyaml emits ``tree`` exactly as the pure emitter does,
-    and the ids of the nodes in it that a YAML alias could share.  A node met
-    twice is an alias: the ids are then None and the tree goes to the pure
-    emitter, which also keeps this walk linear on alias-heavy trees.
-    """
-    stack = [(tree, 0)]
-    nodes: set[int] = set()
-    c_domain = True
-    while stack:
-        node, depth = stack.pop()
-        kind = type(node)
-        if kind is str:
-            if len(node) > _C_MAX_STR or (not node.isascii() and _C_UNSAFE_CHAR(node)):
-                c_domain = False
-        elif kind is dict or kind is list:
-            if id(node) in nodes:
-                return False, None
-            nodes.add(id(node))
-            c_domain = c_domain and depth < _C_MAX_DEPTH
-            if kind is list:
-                stack.extend((value, depth + 1) for value in node)
-                continue
-            for key, value in node.items():
-                if type(key) is not str:
-                    c_domain = False
-                    stack.append((key, depth + 1))
-                elif not (0 < len(key) <= _C_MAX_KEY and key.isascii() and key.isprintable()):
-                    c_domain = False
-                stack.append((value, depth + 1))
-        elif kind in _UNALIASED:
-            pass
-        elif _ignore_aliases(None, node):
-            c_domain = False
-        elif id(node) in nodes:
-            return False, None
-        else:
-            nodes.add(id(node))
-            c_domain = c_domain and kind in _C_DATES
-    return c_domain, nodes
-
-
-# Options of the emitter proper; the rest only steer the representer.
-_SERIALIZE_OPTIONS = dict(allow_unicode=True, width=100000)
-_DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, **_SERIALIZE_OPTIONS)
-_EMPTY_ROOT = yaml.dump({}, Dumper=yaml.SafeDumper, **_DUMP_OPTIONS).encode("utf-8")
-
-
 _REPRESENTERS = yaml.representer.SafeRepresenter.yaml_representers
-# Its ``alias_key`` stays None, so representing a scalar keeps no state on it.
+# It is never handed a value with children, so its ``alias_key`` stays None.
 _REPRESENTER = yaml.representer.SafeRepresenter()
 
 
-def _node(value: Any) -> Any:
-    """The representation node of a value of a tree in libyaml's domain.
+class _Walk(dict):
+    """The memo of one :func:`_node` walk: the node of each aliasable value, by id.
 
-    It is the node ``SafeDumper`` builds with the dump options, without the
-    alias bookkeeping: :func:`_scan` keeps trees with a node met twice out of
-    the domain, and its mapping keys are strings.
+    ``aliased`` tells that a value was met twice; ``c_domain`` that libyaml's
+    emitter writes the pure emitter's bytes for the tree.
+    """
+
+    aliased = False
+    c_domain = True
+
+
+def _represent(value: Any) -> Any:
+    """The node ``SafeRepresenter``'s own function for the type of ``value`` builds."""
+    represent = _REPRESENTERS.get(type(value))
+    if represent is None:
+        raise EmissionError(f"cannot emit record: a {type(value).__name__} value has no YAML form")
+    return represent(_REPRESENTER, value)
+
+
+def _node(value: Any, depth: int, walk: _Walk) -> Any:
+    """The node ``SafeDumper`` represents ``value`` by, unsorted and in block style.
+
+    Each value ``ignore_aliases`` does not exempt is memoized in ``walk``
+    before its children, so a value met twice, or inside itself, is one node,
+    which the serializer writes with an anchor and aliases.  A set is a
+    ``!!set`` mapping with null values and a tuple a sequence.  Raises
+    :class:`EmissionError` for a value of a type with no representer.
     """
     kind = type(value)
     if kind is str:
+        if len(value) > _C_MAX_STR or (not value.isascii() and _C_UNSAFE_CHAR(value)):
+            walk.c_domain = False
         return ScalarNode(_STR, value)
+    if kind in _UNALIASED:
+        return _REPRESENTERS[kind](_REPRESENTER, value)
+    if kind is not dict and kind is not list:
+        if kind not in _C_DATES:
+            walk.c_domain = False
+        if _ignore_aliases(None, value):
+            return _represent(value)
+    node = walk.get(id(value))
+    if node is not None:
+        walk.aliased = True
+        walk.c_domain = False
+        return node
+    if kind not in _COLLECTIONS:
+        node = walk[id(value)] = _represent(value)
+        return node
+    if depth >= _C_MAX_DEPTH:
+        walk.c_domain = False
+    depth += 1
     if kind is dict:
-        pairs = [(ScalarNode(_STR, k), _node(v)) for k, v in value.items()]
-        return MappingNode(_MAP, pairs, flow_style=False)
-    if kind is list:
-        return SequenceNode(_SEQ, [_node(v) for v in value], flow_style=False)
-    return _REPRESENTERS[kind](_REPRESENTER, value)
+        node = walk[id(value)] = MappingNode(_MAP, [], flow_style=False)
+        pairs = node.value
+        for k, v in value.items():
+            if type(k) is str:
+                if not (0 < len(k) <= _C_MAX_KEY and k.isascii() and k.isprintable()):
+                    walk.c_domain = False
+                pairs.append((ScalarNode(_STR, k), _node(v, depth, walk)))
+            else:
+                walk.c_domain = False
+                pairs.append((_node(k, depth, walk), _node(v, depth, walk)))
+    elif kind is set:
+        node = walk[id(value)] = MappingNode("tag:yaml.org,2002:set", [], flow_style=False)
+        node.value = [(_node(k, depth, walk), _node(None, depth, walk)) for k in value]
+    else:
+        node = walk[id(value)] = SequenceNode(_SEQ, [], flow_style=False)
+        node.value = [_node(v, depth, walk) for v in value]
+    return node
 
 
-def _dump(tree: dict[str, Any], c_domain: bool) -> bytes:
-    """The block-style YAML of a root mapping; b"" when it is empty."""
+def _dump(tree: dict[Any, Any], walk: _Walk) -> bytes:
+    """The block-style YAML of a root mapping, b"" when it is empty, walked in ``walk``."""
     if not tree:
         return b""
     try:
-        if _C_DUMPER is not None and c_domain:
-            text = yaml.serialize(_node(tree), Dumper=_C_DUMPER, **_SERIALIZE_OPTIONS)
-        else:
-            text = yaml.dump(tree, Dumper=yaml.SafeDumper, **_DUMP_OPTIONS)
+        node = _node(tree, 0, walk)
+        dumper = _C_DUMPER if walk.c_domain else yaml.SafeDumper
+        text = yaml.serialize(node, Dumper=dumper, allow_unicode=True, width=100000)
     except RecursionError as exc:
         raise EmissionError("cannot emit record: a value is nested too deeply") from exc
     return text.encode("utf-8")
@@ -495,55 +490,45 @@ def emit_records(records: Sequence[KnowsRecord]) -> list[bytes]:
     Entries of a block-style root mapping do not depend on their neighbours,
     so the join is byte-identical to dumping the record's whole tree, as
     long as no node of that tree gets a YAML anchor: anchors are numbered
-    across the document.  A record with a node met twice is dumped whole.
-    Each run takes its own libyaml or pure emitter.
+    across the document.  A record with a value met twice, within one run or
+    across two (their walks memoize the same id), is dumped whole.
 
-    Raises :class:`EmissionError` for a value nested too deeply for the pure
-    emitter, which recurses once per level.
+    Raises :class:`EmissionError` for a value nested too deeply, or of a type
+    with no YAML form.
     """
     if not records:
         return []
     runs = _runs(records)
-    # Run trees stay alive until every record is emitted, so no id is reused.
-    scanned: dict[tuple[int, int], tuple[dict[str, Any], bool, Optional[set[int]]]] = {}
-    dumped: dict[tuple[int, int], bytes] = {}
+    # Each run keeps its tree, so no id is reused, the ids its walk memoized
+    # (None when it met a value twice) and its bytes; its nodes are dropped.
+    dumped: dict[tuple[int, int], tuple[dict[str, Any], Optional[frozenset[int]], bytes]] = {}
     out = []
     for record in records:
-        keys = []
+        parts = []
         for start, stop in runs:
             # The first field's value tells the run apart: a stretch is shared.
             key = (start, id(getattr(record, _ROOT_STEPS[start][0])))
-            if key not in scanned:
-                tree = _emit_root(record, _ROOT_STEPS[start:stop])
-                scanned[key] = (tree, *_scan(tree))
-            keys.append(key)
-        if len(keys) > 1 and not _disjoint([scanned[key][2] for key in keys]):
-            # A node met twice keeps the whole tree on the pure emitter.
-            whole = {}
-            for key in keys:
-                whole.update(scanned[key][0])
-            out.append(_dump(whole, c_domain=False))
-            continue
-        for key in keys:
             if key not in dumped:
-                tree, c_domain, _ = scanned[key]
-                dumped[key] = _dump(tree, c_domain)
-        out.append(b"".join(dumped[key] for key in keys) or _EMPTY_ROOT)
+                tree = _emit_root(record, _ROOT_STEPS[start:stop])
+                walk = _Walk()
+                data = _dump(tree, walk)
+                dumped[key] = (tree, None if walk.aliased else frozenset(walk), data)
+            parts.append(dumped[key])
+        ids = [memo for _, memo, _ in parts]
+        if len(ids) == 1 or None not in ids and all(
+            a.isdisjoint(b) for i, a in enumerate(ids) for b in ids[i + 1 :]
+        ):
+            out.append(b"".join(data for _, _, data in parts) or b"{}\n")
+        else:
+            out.append(_dump({k: v for tree, _, _ in parts for k, v in tree.items()}, _Walk()))
     return out
-
-
-def _disjoint(node_sets: list[Optional[set[int]]]) -> bool:
-    """True when no node occurs twice across the runs of one record."""
-    if None in node_sets:
-        return False
-    return all(a.isdisjoint(b) for a, b in combinations(node_sets, 2))
 
 
 def emit_record(record: KnowsRecord) -> bytes:
     """Serialize a record canonically; two emissions are byte-identical.
 
     The one-record case of :func:`emit_records`: one run holds every field.
-    Raises :class:`EmissionError` for a value nested too deeply for the pure
-    emitter, which recurses once per level.
+    Raises :class:`EmissionError` for a value nested too deeply, or of a type
+    with no YAML form.
     """
     return emit_records((record,))[0]

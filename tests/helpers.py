@@ -57,6 +57,17 @@ LIST_CLAIM_STRENGTH_DOC = (FIXTURES / "bloom.knows.yaml").read_bytes().replace(
     1,
 )
 
+# The moore fixture with its title anchored and aliased from inside a
+# ``!!pairs``, ``!!omap`` or ``!!set`` extension value.
+ALIAS_DOCS = [
+    (FIXTURES / "moore.knows.yaml").read_bytes() + tail
+    for tail in (
+        b"title: &x [1]\nextensions: {x_p: !!pairs [{k: *x}]}\n",
+        b"title: &x [1]\nextensions: {x_o: !!omap [{k: *x}]}\n",
+        b"title: &d 2024-01-01\nextensions: {x_s: !!set {? *d}}\n",
+    )
+]
+
 _FORMATS = jsonschema.FormatChecker()
 
 

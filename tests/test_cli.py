@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, make_record
+from helpers import ALIAS_DOCS, DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, make_record
 from knows_sidecar import cli
 from knows_sidecar.projection import project
 from knows_sidecar.serialization import emit_record, load_record
@@ -34,6 +34,21 @@ class TestGen:
 
     def test_missing_out_is_usage_error(self, capsys):
         assert run("gen", "--title", "T", "--author", "A") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--author", "A", "--profile", "paper@0"], ["--author", "A", "--title", " "], []],
+        ids=["profile_major_zero", "blank_title", "no_author"],
+    )
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.knows.yaml"
+        try:
+            code = run("gen", "--title", "T", "--out", str(out), *argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "gen" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.yaml"
@@ -279,6 +294,16 @@ class TestProject:
                 counts[name] = int(value)
         assert counts == dict(zip(CONDITIONS, TECHREPORT_TOKENS))
         assert f"# savings_vs_full={1 - 2520 / 5455:.4f}" in err
+
+    @pytest.mark.parametrize("doc", ALIAS_DOCS, ids=["pairs", "omap", "set"])
+    def test_tokens_out_keeps_aliases(self, tmp_path, doc):
+        path = tmp_path / "alias.knows.yaml"
+        path.write_bytes(doc)
+        alone, together = tmp_path / "alone.knows.yaml", tmp_path / "together.knows.yaml"
+        assert run("project", str(path), "--out", str(alone)) == 0
+        assert run("project", str(path), "--out", str(together), "--tokens") == 0
+        assert together.read_bytes() == alone.read_bytes()
+        assert b"&id001" in alone.read_bytes()
 
     @pytest.mark.parametrize("tokens", [(), ("--tokens",)])
     def test_value_nested_too_deeply_is_io_error(self, tmp_path, capsys, tokens):

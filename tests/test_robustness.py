@@ -1,19 +1,20 @@
 """Whatever a record file holds, the toolchain fails only in documented ways.
 
-A Hypothesis strategy mutates the fixture trees: it sets values to junk, adds
-keys and removes keys.  Each mutated document goes through ``load_record``,
-``lint``, ``emit_record``, ``build_graph``, ``trace``, ``export_edge_list``,
-``token_report``, a ``Registry`` with ``resolve`` of every entity ID,
-``consume`` in ``only`` mode (twice) and ``fallback`` mode through one
-``SidecarCache``, and ``run_study`` over the one record.  ``lint`` never
-raises; every other stage raises only ``KnowsError``, and the second ``only``
-answer equals the first.  On the same documents, K001 finds nothing exactly
-when an off-the-shelf JSON Schema validator accepts the tree, but for one
-pinned divergence; and emitting the four projections together, each shared
-root run once, gives the bytes and token counts of emitting each projection
-alone.  Copies of the loaded records made with ``dataclasses.replace``, and
-copies derived from those, lint as the reference path does: K001 on the
-re-emitted tree.
+A Hypothesis strategy mutates the fixture trees: it sets values to junk (sets
+among it), adds keys, removes keys and points slots at containers elsewhere in
+the tree, which the document writes as YAML aliases.  Each mutated document
+goes through ``load_record``, ``lint``, ``emit_record``, ``build_graph``,
+``trace``, ``export_edge_list``, ``token_report``, a ``Registry`` with
+``resolve`` of every entity ID, ``consume`` in ``only`` mode (twice) and
+``fallback`` mode through one ``SidecarCache``, and ``run_study`` over the one
+record.  ``lint`` never raises; every other stage raises only ``KnowsError``,
+and the second ``only`` answer equals the first.  On the same documents, K001
+finds nothing exactly when an off-the-shelf JSON Schema validator accepts the
+tree, but for one pinned divergence; and emitting the four projections
+together, each shared root run once, gives the bytes and token counts of
+emitting each projection alone.  Copies of the loaded records made with
+``dataclasses.replace``, and copies derived from those, lint as the reference
+path does: K001 on the re-emitted tree.
 
 The default profile runs a modest number of examples.  For a long run:
 
@@ -28,7 +29,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, RECORD_ORACLE
+from helpers import ALIAS_DOCS, DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, RECORD_ORACLE
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.corruption import run_study
 from knows_sidecar.errors import EmissionError, KnowsError
@@ -82,7 +83,11 @@ scalars = st.one_of(
 keys = st.one_of(st.sampled_from(KEYS), st.integers(0, 3))
 junk = st.recursive(
     scalars,
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(keys, inner, max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(keys, inner, max_size=3),
+        st.sets(st.one_of(keys, st.sampled_from(WORDS)), max_size=3),
+    ),
     max_leaves=6,
 )
 
@@ -105,10 +110,18 @@ def mutated_documents(draw):
     tree = copy.deepcopy(draw(st.sampled_from(BASE_TREES)))
     for _ in range(draw(st.integers(1, 3))):
         slots = _slots(tree)
-        op = draw(st.sampled_from(["set", "add", "delete"]))
+        op = draw(st.sampled_from(["set", "add", "delete", "alias"]))
         if op == "set":
             container, key = draw(st.sampled_from(slots))
             container[key] = draw(junk)
+        elif op == "alias":
+            # A slot outside a container's subtree points at it: YAML's &id / *id.
+            target = draw(st.sampled_from([c[k] for c, k in slots if isinstance(c[k], (dict, list))]))
+            inside = {id(target)} | {id(c) for c, _ in _slots(target)}
+            outside = [(c, k) for c, k in slots if id(c) not in inside]
+            if outside:
+                container, key = draw(st.sampled_from(outside))
+                container[key] = target
         elif op == "add":
             dicts = [tree] + [c[k] for c, k in slots if isinstance(c[k], dict)]
             draw(st.sampled_from(dicts))[draw(keys)] = draw(junk)
@@ -213,6 +226,9 @@ def _line_tokenizer(data: bytes) -> int:
 @example(_moore_with(extensions={"x_a": SHARED_LIST, "x_b": SHARED_LIST}))
 @example(_moore_with(title="Heat \U0001f600 on one chip"))
 @example(DEEP_DOC.encode("utf-8"))
+@example(ALIAS_DOCS[0])
+@example(ALIAS_DOCS[1])
+@example(ALIAS_DOCS[2])
 def test_shared_runs_emit_as_each_projection_alone(doc):
     try:
         record, _ = load_record(doc)

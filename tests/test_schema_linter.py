@@ -269,6 +269,28 @@ def test_wrong_prefix_is_k004():
     assert findings_with(lint(record), LintCode.ID_PREFIX)
 
 
+def test_set_values_read_alike_in_findings():
+    # 8 and 0 share a slot of a small set, which then iterates in insertion order.
+    def findings(items):
+        record, _ = load_record(
+            "artifacts:\n"
+            f"  - {{id: !!set {{{items}}}, artifact_type: paper, role: subject, title: T}}\n"
+            f"  - {{id: [!!set {{{items}}}], artifact_type: paper, role: cited, title: T}}\n"
+            f"  - {{id: [!!set {{{items}}}], artifact_type: paper, role: cited, title: T}}\n"
+            "relations:\n"
+            f"  - {{id: 'rel:r', subject_ref: !!set {{{items}}}, predicate: cites, object_ref: 'art:a'}}\n"
+        )
+        return [(f.code, f.path, f.message) for f in lint(record).findings if f.code is not LintCode.SCHEMA]
+
+    shown = findings("8, 0")
+    assert shown == findings("0, 8")
+    assert (LintCode.ID_PREFIX, "artifacts/0/id", "unparseable entity id {0, 8}") in shown
+    assert (LintCode.CROSSREF, "relations/0/subject_ref", "unparseable reference {0, 8}") in shown
+    assert (
+        LintCode.ID_UNIQUE, "artifacts/2", "duplicate entity id [{0, 8}] (first declared at artifacts/1)"
+    ) in shown
+
+
 # ---------------------------------------------------------------------------
 # K005 predicates
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,9 @@ import yaml
 from helpers import DEEP_DOC, FIXTURES, make_record
 from knows_sidecar import serialization
 from knows_sidecar.errors import EmissionError, RecordSyntaxError, TypeMismatchError
-from knows_sidecar.model import EntityId, Profile, SpecVersion
+from knows_sidecar.model import Author, EntityId, Observation, Profile, SpecVersion
 from knows_sidecar.projection import token_report
+from knows_sidecar.scaffold import CandidateEvidence, ExtractedContent, ScaffoldInput, scaffold_record
 from knows_sidecar.serialization import (
     document_tree,
     emit_record,
@@ -146,6 +148,22 @@ class TestEmit:
             emit_record(record)
         with pytest.raises(EmissionError):
             token_report(record)
+
+    def test_value_with_no_yaml_form_is_an_emission_error(self):
+        def extractor(locator):
+            observation = Observation(metric="gain", value=Decimal("1.5"))
+            return ExtractedContent(evidence=(CandidateEvidence("table", "Gains", (observation,)),))
+
+        spec = ScaffoldInput(title="T", authors=(Author(name="A"),))
+        cases = [
+            (scaffold_record(spec, extractor), "Decimal"),
+            (replace(make_record(3), extensions={"x_o": object()}), "object"),
+        ]
+        for record, kind in cases:
+            with pytest.raises(EmissionError, match=f"a {kind} value has no YAML form"):
+                emit_record(record)
+            with pytest.raises(EmissionError, match=kind):
+                token_report(record)
 
     def test_pure_loader_rejects_a_document_nested_too_deeply(self, monkeypatch):
         # libyaml loads it; emitting it is the EmissionError above.

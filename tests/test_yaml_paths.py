@@ -12,6 +12,7 @@ import dataclasses
 import datetime
 import gc
 import math
+from decimal import Decimal
 
 import pytest
 import yaml
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import FIXTURES
 from knows_sidecar import cli, projection, serialization
-from knows_sidecar.errors import RecordSyntaxError
+from knows_sidecar.errors import EmissionError, RecordSyntaxError
 from knows_sidecar.model import Author, parse_profile
 from knows_sidecar.scaffold import ScaffoldInput, scaffold_record
 from knows_sidecar.serialization import emit_record, load_record, record_to_tree
@@ -36,6 +37,12 @@ BASE, _ = load_record((FIXTURES / "moore.knows.yaml").read_bytes())
 
 def pure_emit(record) -> bytes:
     return yaml.dump(record_to_tree(record), Dumper=yaml.SafeDumper, **EMIT_OPTIONS).encode("utf-8")
+
+
+def walk_dump(tree):
+    """``serialization._dump`` of a tree, and whether it went to libyaml's emitter."""
+    walk = serialization._Walk()
+    return serialization._dump(tree, walk), walk.c_domain
 
 
 def pure_dump(tree) -> str:
@@ -156,9 +163,85 @@ def test_emission_matches_pure_emitter(record):
 @example({"floats": [math.nan, math.inf, -math.inf, -0.0, 1e300], "ints": [2**70, -(2**64)]})
 @example({"flags": [True, False, None], "nested": {"a": [{"b": []}, {}]}})
 def test_node_path_matches_representer(tree):
-    assume(serialization._scan(tree)[0])
+    data, c_domain = walk_dump(tree)
+    assume(c_domain)
     expected = yaml.dump(tree, Dumper=yaml.CSafeDumper, **EMIT_OPTIONS).encode("utf-8")
-    assert serialization._dump(tree, c_domain=True) == (expected if tree else b"")
+    assert data == (expected if tree else b"")
+
+
+# Trees SafeDumper's representer gives anchors, with values it writes as
+# ``!!set``, ``!!binary`` and sequences (tuples), and values it cannot write.
+exotic_leaves = st.one_of(
+    IN_DOMAIN[1],
+    IN_DOMAIN[1],
+    IN_DOMAIN[1],
+    st.binary(max_size=8),
+    st.sets(st.one_of(st.integers(), ascii_keys, st.dates()), max_size=3),
+    st.just(()),
+    st.sampled_from([Decimal("1.5"), object(), frozenset({1})]),
+)
+exotic_keys = st.one_of(ascii_keys, st.integers(), st.dates(), st.tuples(ascii_keys, st.integers()))
+EXOTIC = st.recursive(
+    exotic_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(exotic_keys, kids, max_size=3), st.tuples(kids, kids)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def aliased_trees(draw):
+    """An exotic tree in which some slots hold a value met elsewhere in it, or an ancestor."""
+    tree = draw(st.dictionaries(ascii_keys, EXOTIC, max_size=4))
+    slots, shared = [], []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            slots.extend((node, key) for key in node)
+            shared.extend(key for key in node if not isinstance(key, str))
+        if isinstance(node, list):
+            slots.extend((node, i) for i in range(len(node)))
+        if isinstance(node, (dict, list, tuple, set, datetime.date)):
+            shared.append(node)
+        if isinstance(node, (list, tuple)):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+    for _ in range(draw(st.integers(0, 4))):
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        value = draw(st.sampled_from(shared))
+        if isinstance(container, dict) and draw(st.booleans()):
+            try:
+                container[value] = draw(exotic_leaves)  # the value as a key too
+            except TypeError:  # unhashable
+                pass
+        else:
+            container[key] = value
+    return tree
+
+
+RECURSIVE = ["x"]
+RECURSIVE.append(RECURSIVE)
+DAY = datetime.date(2024, 1, 1)
+
+
+@settings(deadline=None)
+@given(aliased_trees())
+@example({"a": RECURSIVE})
+@example({"a": [Decimal("1.5")]})
+@example({"t": (DAY,), "s": {DAY}, DAY: 1})
+def test_walk_matches_representer(tree):
+    try:
+        expected = yaml.dump(tree, Dumper=yaml.SafeDumper, **EMIT_OPTIONS).encode("utf-8")
+    except yaml.representer.RepresenterError:
+        with pytest.raises(EmissionError, match="no YAML form"):
+            walk_dump(tree)
+        return
+    assert walk_dump(tree)[0] == (expected if tree else b"")
 
 
 def _nested(depth):
@@ -169,7 +252,7 @@ def _nested(depth):
 
 
 # Each tree here makes libyaml's emitter write other bytes than the pure one,
-# or (an alias) is kept from it to bound the domain walk.
+# or (an alias) is kept from it.
 OUT_OF_DOMAIN = {
     "non_bmp": "x \U0001d465",
     "emoji": "\U0001f600",
@@ -193,14 +276,14 @@ OUT_OF_DOMAIN["alias"] = {"a": SHARED, "b": SHARED}
 @pytest.mark.parametrize("value", OUT_OF_DOMAIN.values(), ids=list(OUT_OF_DOMAIN))
 def test_out_of_domain_trees_take_the_pure_path(value):
     record = dataclasses.replace(BASE, extensions={"x_probe": value})
-    assert not serialization._scan(record_to_tree(record))[0]
+    assert not walk_dump(record_to_tree(record))[1]
     assert emit_record(record) == pure_emit(record)
 
 
 def test_fixtures_emit_through_libyaml():
     for path in sorted(FIXTURES.glob("*.knows.yaml")):
         record, _ = load_record(path.read_bytes())
-        assert serialization._scan(record_to_tree(record))[0], path.name
+        assert walk_dump(record_to_tree(record))[1], path.name
 
 
 @needs_libyaml
@@ -368,8 +451,9 @@ MALFORMED = [
     "a: !!str {b: 1}\n",
     "a: {<<: 1}\n",
     "a: !custom x\n",
-    # Not UTF-8.
+    # Not UTF-8, and a str that UTF-8 cannot encode.
     b"a: \xff\n",
+    "a: \udcff\n",
 ]
 
 

@@ -118,11 +118,14 @@ _IMPLICIT = {
     first: tuple((tag, regexp.match) for tag, regexp in resolvers)
     for first, resolvers in yaml.resolver.Resolver.yaml_implicit_resolvers.items()
 }
-# The function ``SafeConstructor`` builds each tag with; merge (``<<``) and
-# value (``=``) scalars have none.
-_CONSTRUCTORS = yaml.constructor.SafeConstructor.yaml_constructors
+# The function ``SafeConstructor`` builds each scalar tag with.  Merge (``<<``)
+# and value (``=``) scalars have none, and the collection tags' functions
+# defer their work to the stock passes' loop.
+_SCALARS = {
+    f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor, f"construct_yaml_{name}")
+    for name in ("str", "null", "bool", "int", "float", "binary", "timestamp")
+}
 _MAX_CONSTRUCT_DEPTH = 100
-_NO_KEY = object()
 
 
 def _plain_tag(value: str) -> str:
@@ -138,11 +141,10 @@ class _Unbuilt(Exception):
 
 
 def _documents(text: str) -> list[Any]:
-    """The object of each document in ``text``: :func:`_walk_events`, else PyYAML's passes.
+    """The object of each document in ``text``: :func:`_walk_events`, else ``yaml.load_all``.
 
-    When the walk gives up, or anything in it raises, a fresh loader composes
-    and constructs every document as ``yaml.load_all`` does, and so builds
-    the same objects or raises its own first error.
+    When the walk gives up, or anything in it raises, PyYAML's own passes
+    build the same objects or raise their own first error.
     """
     loader = _LOADER(text)
     try:
@@ -151,83 +153,73 @@ def _documents(text: str) -> list[Any]:
         pass
     finally:
         loader.dispose()
-    loader = _LOADER(text)
-    try:
-        docs = []
-        while loader.check_node():
-            docs.append(loader.construct_document(loader.get_node()))
-        return docs
-    finally:
-        loader.dispose()
+    return list(yaml.load_all(text, Loader=_LOADER))
 
 
 def _walk_events(loader: Any) -> list[Any]:
-    """Build each document's object from the loader's events in one iterative walk.
-
-    A plain scalar is resolved here and built by ``SafeConstructor``'s
-    function for its tag, a quoted one is a string, and an untagged mapping
-    or sequence a dict or list.  Raises :class:`_Unbuilt` for what PyYAML's
-    passes treat otherwise: an anchor, an alias, an explicit tag, a merge or
-    ``=`` scalar, a collection key, and nesting past
-    ``_MAX_CONSTRUCT_DEPTH`` levels.  So a collection starts only where no
-    key is pending, and one ``key`` serves every level.
-    """
+    """Build each document's object from the loader's events, with :func:`_built`."""
     next_event = loader.get_event
-    docs: list[Any] = []
-    stack: list[Any] = []  # the open collections, innermost last
-    top: Any = None
-    key: Any = _NO_KEY  # the key read in ``top`` whose value comes next
-    root: Any = None
     next_event()  # the stream start
-    while True:
-        event = next_event()
-        kind = event.__class__
-        if kind is ScalarEvent:
-            if event.tag is not None or event.anchor is not None:
+    docs = []
+    while next_event().__class__ is DocumentStartEvent:
+        docs.append(_built(loader, next_event(), 0, {}))  # anchors reset per document
+        next_event()  # the document end
+    return docs
+
+
+def _built(loader: Any, event: Any, depth: int, anchors: dict[str, Any]) -> Any:
+    """The object of the node that ``event`` starts, reading the rest of it from ``loader``.
+
+    A plain scalar is resolved here, and a scalar is built by
+    ``SafeConstructor``'s function for its tag (a quoted untagged one is a
+    string).  An untagged mapping or sequence is a dict or list, anchored
+    before its children, so an alias inside it is the collection itself; an
+    alias is the object its anchor names in the document (``anchors``), as
+    ``construct_object``'s memo makes it.  ``depth`` counts the collections
+    around the node.  Raises :class:`_Unbuilt` for what PyYAML's passes treat
+    otherwise: a reused anchor, a collection, custom or bare ``!`` tag, a
+    merge or ``=`` scalar, and nesting past ``_MAX_CONSTRUCT_DEPTH`` levels.
+    An undefined alias raises ``KeyError``, and a collection key ``TypeError``.
+    """
+    kind = event.__class__
+    if kind is ScalarEvent:
+        value, tag = event.value, event.tag
+        if tag is None and event.implicit[0]:  # _plain_tag, inlined: most scalars are plain
+            for resolved, match in _IMPLICIT.get(value[:1], ()):
+                if match(value):
+                    tag = resolved
+                    break
+        if tag is not None:
+            construct = _SCALARS.get(tag)
+            if construct is None:
                 raise _Unbuilt
-            value = event.value
-            if event.implicit[0]:  # _plain_tag, inlined: most scalars are plain
-                for tag, match in _IMPLICIT.get(value[:1], ()):
-                    if match(value):
-                        construct = _CONSTRUCTORS.get(tag)
-                        if construct is None:
-                            raise _Unbuilt
-                        value = construct(loader, ScalarNode(tag, value))
-                        break
-        elif kind is MappingEndEvent or kind is SequenceEndEvent:
-            stack.pop()
-            top = stack[-1] if stack else None
-            continue
-        elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if (
-                event.tag is not None
-                or event.anchor is not None
-                or (key is _NO_KEY and top.__class__ is dict)
-                or len(stack) > _MAX_CONSTRUCT_DEPTH
-            ):
-                raise _Unbuilt
-            value = {} if kind is MappingStartEvent else []
-        elif kind is DocumentStartEvent:
-            continue
-        elif kind is DocumentEndEvent:
-            docs.append(root)
-            continue
-        elif kind is StreamEndEvent:
-            return docs
-        else:
+            value = construct(loader, ScalarNode(tag, value))
+    elif kind is AliasEvent:
+        return anchors[event.anchor]
+    elif event.tag is not None or depth > _MAX_CONSTRUCT_DEPTH:
+        raise _Unbuilt
+    else:
+        value = {} if kind is MappingStartEvent else []
+    anchor = event.anchor
+    if anchor is not None:
+        if anchor in anchors:
             raise _Unbuilt
-        if top is None:
-            root = value
-        elif top.__class__ is list:
-            top.append(value)
-        elif key is _NO_KEY:
-            key = value
-        else:
-            top[key] = value
-            key = _NO_KEY
-        if kind is not ScalarEvent:
-            stack.append(value)
-            top = value
+        anchors[anchor] = value
+    if kind is ScalarEvent:
+        return value
+    next_event = loader.get_event
+    depth += 1
+    event = next_event()
+    if kind is SequenceStartEvent:
+        while event.__class__ is not SequenceEndEvent:
+            value.append(_built(loader, event, depth, anchors))
+            event = next_event()
+    else:
+        while event.__class__ is not MappingEndEvent:
+            key = _built(loader, event, depth, anchors)
+            value[key] = _built(loader, next_event(), depth, anchors)
+            event = next_event()
+    return value
 
 
 def _sequence(value: Any) -> list[Any]:
@@ -443,12 +435,11 @@ _QUOTED_STR = (False, True)
 class _Walk(dict):
     """The memo of one :func:`_events` walk: the first event of each aliasable value, by id.
 
-    ``aliased`` tells that a value was met twice; ``c_domain`` that libyaml's
-    emitter writes the pure emitter's bytes for the tree; ``anchors`` counts
-    the anchors given so far.
+    ``c_domain`` tells that libyaml's emitter writes the pure emitter's bytes
+    for the tree; ``anchors`` counts the anchors given so far, so it is
+    non-zero exactly when a value was met twice.
     """
 
-    aliased = False
     c_domain = True
     anchors = 0
 
@@ -491,7 +482,6 @@ def _events(value: Any, depth: int, walk: _Walk, out: list) -> None:
     if aliased:
         first = walk.get(id(value))
         if first is not None:
-            walk.aliased = True
             walk.c_domain = False
             if first.anchor is None:
                 walk.anchors += 1
@@ -605,7 +595,7 @@ def emit_records(records: Sequence[KnowsRecord]) -> list[bytes]:
                 tree = _emit_root(record, _ROOT_STEPS[start:stop])
                 walk = _Walk()
                 data = _dump(tree, walk)
-                dumped[key] = (tree, None if walk.aliased else frozenset(walk), data)
+                dumped[key] = (tree, None if walk.anchors else frozenset(walk), data)
             parts.append(dumped[key])
         ids = [memo for _, memo, _ in parts]
         if len(ids) == 1 or None not in ids and all(

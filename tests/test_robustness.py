@@ -224,6 +224,8 @@ def _line_tokenizer(data: bytes) -> int:
 @example(_moore_with(title=SHARED_LIST, resources=[SHARED_LIST]))
 @example(_moore_with(title=WHEN, extensions={"x_t": WHEN}))
 @example(_moore_with(extensions={"x_a": SHARED_LIST, "x_b": SHARED_LIST}))
+# Two runs that each hold a value twice: each run's walk numbers its anchors from id001.
+@example(_moore_with(title=[SHARED_LIST, SHARED_LIST], extensions={"x_a": [WHEN], "x_b": [WHEN]}))
 @example(_moore_with(title="Heat \U0001f600 on one chip"))
 @example(DEEP_DOC.encode("utf-8"))
 @example(ALIAS_DOCS[0])

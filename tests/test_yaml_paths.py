@@ -440,6 +440,16 @@ LOADER_CLASSES = [
 # The composers reject a reused anchor.
 @example("a: &x 1\nb: &x 2\n")
 @example("a: &x [1]\nb: &x [2]\n")
+# The two sides of the walk's depth cap.
+@example("a: " + "[" * 100 + "]" * 100 + "\n")
+@example("a: " + "[" * 101 + "]" * 101 + "\n")
+@example("a: &x 1\n---\nb: *x\n")  # anchors reset per document
+@example("&k a: *k\n")
+@example("a: &k b\n*k : 1\n")
+@example("!!str 1: a\n")
+@example("a: &s !!str 1\nb: *s\n")
+@example("a: !custom x\n")
+@example("a: &x\n")
 def test_construction_matches_construct_document(loader_class, doc):
     stock = _outcome_of(_stock_documents, doc, loader_class)
     with mock.patch.object(serialization, "_LOADER", loader_class):
@@ -534,6 +544,14 @@ def test_libyaml_path_makes_no_per_node_python_calls(monkeypatch):
     ]:
         monkeypatch.setattr(owner, name, _refuse)
     records = [load_record(path.read_bytes())[0] for path in sorted(FIXTURES.glob("*.knows.yaml"))]
+    # The walk builds explicitly tagged scalars, anchors and aliases too.
+    techreport = (FIXTURES / "techreport.knows.yaml").read_bytes()
+    for tail in (
+        b"x_note: !!str 2026\n",
+        b"x_a: &a [1]\nx_b: *a\n",
+        b"x_t: &t 2024-01-01\nx_u: *t\n",
+    ):
+        records.append(load_record(techreport + tail)[0])
     for record in records + [make_record(seed) for seed in range(4)]:
         reloaded, _ = load_record(emit_record(record))
         assert emit_record(reloaded) == emit_record(record)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional
 
-from . import schema
+# Imported for its effect: it gives every record its K001 findings, ``_k001``.
+from . import schema  # noqa: F401
 from .model import (
     CLASS_PREFIX,
     ENTITY_CLASS,
@@ -27,7 +28,8 @@ from .model import (
     as_ref,
     shown,
 )
-from .serialization import document_tree, typed_root
+# ``bench/tracer.py`` wraps ``linter.document_tree``; only the schema calls it.
+from .serialization import document_tree  # noqa: F401
 
 UrlProbe = Callable[[str], int]
 
@@ -75,11 +77,9 @@ def _warn(code: LintCode, path: str, message: str) -> LintFinding:
 # Check 1: schema
 
 
-def check_schema(tree: Any) -> list[LintFinding]:
-    """Structural violations of a document tree or a typed root (K001)."""
-    return [
-        _err(LintCode.SCHEMA, path, message) for path, message in schema.validate_tree(tree)
-    ]
+def check_schema(record: KnowsRecord) -> list[LintFinding]:
+    """The structural violations ``record`` keeps (K001; see :mod:`knows_sidecar.schema`)."""
+    return [_err(LintCode.SCHEMA, path, message) for path, message in record._k001]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def _check_refs(
         findings.append(_err(LintCode.CROSSREF, base + name, message))
 
 
-def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = None) -> list[LintFinding]:
+def check_crossrefs(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     index = record.entity_index()
     entities = record.entities()
@@ -145,11 +145,6 @@ def check_crossrefs(record: KnowsRecord, registry: Optional[dict[str, Any]] = No
                 findings.append(_err(LintCode.CROSSREF, anchor_path, message))
             elif str(ref) not in local_reps:
                 findings.append(_err(LintCode.CROSSREF, anchor_path, f"dangling reference {ref}"))
-
-    if registry is not None and record.replaces is not None and record.replaces not in registry:
-        findings.append(
-            _warn(LintCode.CROSSREF, "replaces", f"replaced record {record.replaces!r} not in registry")
-        )
     return findings
 
 
@@ -315,19 +310,15 @@ def lint(
     check_urls: bool = False,
     fetcher: Optional[UrlProbe] = None,
     liveness_errors: bool = False,
-    registry: Optional[dict[str, Any]] = None,
 ) -> LintReport:
     """Run checks K001-K006, plus K007 when ``check_urls`` is set.
 
     Violations become findings; lint itself never raises on record content.
     Findings are sorted by (path, code) so reports are canonical.
     """
-    # K001 on a record built in memory reads the findings its root field
-    # values keep, so a copy sharing entities re-checks only what it changed.
-    tree = typed_root(record) if record._source_tree is None else document_tree(record)
     findings: list[LintFinding] = []
-    findings.extend(check_schema(tree))
-    findings.extend(check_crossrefs(record, registry=registry))
+    findings.extend(check_schema(record))
+    findings.extend(check_crossrefs(record))
     findings.extend(check_id_uniqueness(record))
     findings.extend(check_id_prefixes(record))
     findings.extend(check_predicates(record))

@@ -31,14 +31,15 @@ out-of-vocabulary values for the linter to report.
 
 Kept state: what a value derives once and keeps lives in its instance
 ``__dict__``, beside the fields, written by a ``functools.cached_property``
-(or, for the loaded tree, by the loader).  It belongs to the object:
-equality and repr ignore it, ``dataclasses.replace`` starts without it, and
-``copy.deepcopy`` copies it.  A record keeps its entity walk (``_walk``)
-and, when loaded, its parsed tree (``_source_tree``).  Each dataclass value
-a root field of ``KnowsRecord`` holds, alone or as a list item, keeps its
-K001 findings (``_k001``), relative to itself; :mod:`knows_sidecar.schema`
-sets that property on the class when it compiles ``RECORD_SCHEMA``, since
-this module cannot import the schema.
+(or, for a loaded record's K001 findings, by the loader).  It belongs to the
+object: equality and repr ignore it, ``dataclasses.replace`` starts without
+it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
+(``_walk``).  A record, and each dataclass value a root field of
+``KnowsRecord`` holds, alone or as a list item, keeps its K001 findings
+(``_k001``), relative to itself: a loaded record's are those of the tree it
+was parsed from, which it does not keep.  :mod:`knows_sidecar.schema` sets
+that property on the classes when it compiles ``RECORD_SCHEMA``, since this
+module cannot import the schema.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import MalformedError, UnknownPrefixError
 
@@ -493,10 +494,6 @@ class KnowsRecord:
     Instances are value objects: two records loaded from differently ordered
     YAML compare equal.  Kept state: see the module docstring.
     """
-
-    # The YAML tree ``serialization.load_record`` parsed the record from, read
-    # by ``serialization.document_tree``; None on a record built in memory.
-    _source_tree: ClassVar[Optional[dict[str, Any]]] = None
 
     schema_uri: str = _meta(minLength=1, key="$schema", missing=SCHEMA_URI)
     knows_version: SpecVersion = _meta(pattern=_SEMVER_PATTERN)

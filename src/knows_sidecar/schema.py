@@ -4,8 +4,9 @@
 expressed as a plain dict so tests can cross-check it with an off-the-shelf
 validator; it and :func:`object_schema` are built from dataclass field tables.
 :func:`validator` compiles a schema once, into one closure per schema node.
-:func:`validate_tree` is the compiled ``RECORD_SCHEMA``; the linter's check 1
-is built on it, so its verdict is that of validating the tree by the schema.
+:func:`validate_tree` is the compiled ``RECORD_SCHEMA``.  Every record keeps
+its findings as ``_k001``, which the linter's check 1 reports, so its verdict
+is that of validating the record's tree by the schema.
 """
 
 from __future__ import annotations
@@ -103,9 +104,11 @@ _KEPT_NODES = _kept_nodes()
 # is a (key, parent) chain, None at the root, rendered only for a problem.  A
 # value of the wrong type or outside the enumeration gets no further checks.
 # A ``RECORD_SCHEMA`` node that a root field's dataclass values fill reads a
-# value of exactly that class (see ``serialization.typed_root``) as the
+# value of exactly that class (see ``serialization.document_tree``) as the
 # findings it keeps, ``_k001``: the node's check of its emitted tree, with
-# paths relative to the value, computed once per value.
+# paths relative to the value, computed once per value.  A record keeps its
+# own: ``load_record`` presets them from the parsed tree, and one built in
+# memory computes them once from its ``document_tree``.
 
 _Check = Callable[[Any, Any, list], None]
 
@@ -157,19 +160,13 @@ def _compile(schema: Mapping[str, Any]) -> _Check:
             walk(value, path, problems)
 
     if typed is not None:
-        _keep_findings(typed, check)
+        emit = serialization._emitter(typed)
+        _keep_findings(typed, lambda value: tuple(_findings(check, emit(value))))
     return check
 
 
-def _keep_findings(cls: type, check: _Check) -> None:
-    """Give ``cls`` the kept state ``_k001``: ``check``'s findings on a value."""
-    emit = serialization._emitter(cls)
-
-    def findings(value: Any) -> tuple[tuple[str, str], ...]:
-        problems: list = []
-        check(emit(value), None, problems)
-        return tuple((_render(path), message) for path, message in problems)
-
+def _keep_findings(cls: type, findings: Callable[[Any], tuple[tuple[str, str], ...]]) -> None:
+    """Give ``cls`` the kept state ``_k001``: ``findings`` of a value, computed once."""
     kept = cached_property(findings)
     kept.__set_name__(cls, "_k001")
     cls._k001 = kept
@@ -220,17 +217,20 @@ def _render(path: Any) -> Any:
     return f"{rendered}/{key}" if rendered else key
 
 
+def _findings(check: _Check, value: Any) -> list[tuple[str, str]]:
+    problems: list = []
+    check(value, None, problems)
+    return [(_render(path), message) for path, message in problems]
+
+
 def validator(schema: Mapping[str, Any]) -> Callable[[Any], list[tuple[str, str]]]:
     """Compile ``schema`` once: the result lists a value's violations as (path, message)."""
     check = _compile(schema)
-
-    def validate(value: Any) -> list[tuple[str, str]]:
-        problems: list = []
-        check(value, None, problems)
-        return [(_render(path), message) for path, message in problems]
-
-    return validate
+    return lambda value: _findings(check, value)
 
 
 # Structural violations of a raw document tree as (path, message) pairs.
 validate_tree = validator(RECORD_SCHEMA)
+_keep_findings(
+    model.KnowsRecord, lambda record: tuple(validate_tree(serialization.document_tree(record)))
+)

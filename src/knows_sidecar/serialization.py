@@ -1,12 +1,13 @@
 """Lossless YAML reading and writing of KnowsRecords.
 
 Loading is deliberately lenient: structural problems (missing fields, unknown
-keys, out-of-vocabulary enum values) never abort the load.  They stay visible
-in the retained document tree so the linter can report them, and enum-valued
-fields keep their raw strings.  Emission is canonical: root fields in declared
-order, entity fields in declaration order, so two emissions of the same record
-are byte-identical.  Both directions run on plans compiled once per dataclass
-from the field table in :mod:`knows_sidecar.model`.
+keys, out-of-vocabulary enum values) never abort the load.  The record keeps
+the K001 findings of the parsed tree, for the linter to report, and drops the
+tree; enum-valued fields keep their raw strings.  Emission is canonical: root
+fields in declared order, entity fields in declaration order, so two
+emissions of the same record are byte-identical.  Both directions run on
+plans compiled once per dataclass from the field table in
+:mod:`knows_sidecar.model`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class UnknownFieldLog:
     entries: tuple[UnknownFieldEntry, ...]
 
 
-def document_tree(record: KnowsRecord) -> dict[str, Any]:
-    """The tree a loaded record was parsed from, or its canonical re-emission."""
-    tree = record._source_tree
-    return record_to_tree(record) if tree is None else tree
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
@@ -67,8 +62,10 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     """Decode one YAML document into a typed record plus an unknown-field log.
 
-    Raises :class:`RecordSyntaxError` for bytes that are not UTF-8 (or a str
-    with a lone surrogate), malformed YAML or multi-document streams and
+    The record keeps the K001 findings of the parsed tree (``_k001``, see
+    :mod:`knows_sidecar.model`), not the tree.  Raises
+    :class:`RecordSyntaxError` for bytes that are not UTF-8 (or a str with a
+    lone surrogate), malformed YAML or multi-document streams and
     :class:`TypeMismatchError` when the root is not a mapping.
     """
     try:
@@ -101,8 +98,11 @@ def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
     # Root extensions are logged before any entity's x_extensions.
     _extension_map(tree.get("extensions"), "", "extensions", log)
     record = _load_root(tree, "", "", log)
+    from . import schema  # not at module level: schema imports this module
+
     # The record is frozen; kept state goes straight into its instance dict.
-    vars(record)["_source_tree"] = tree
+    # The tree is not kept, only its K001 findings.
+    vars(record)["_k001"] = tuple(schema.validate_tree(tree))
     return record, UnknownFieldLog(tuple(log))
 
 
@@ -391,10 +391,11 @@ def _emitter(cls: type, typed: bool = False) -> Callable[..., dict[str, Any]]:
 
 _emit_root = _emitter(KnowsRecord)
 
-# The canonical root with each value (or list item) of exactly the class its
-# root field declares left as it is, for K001 to read the findings it keeps
-# (see :mod:`knows_sidecar.schema`); everything else emits as in the tree.
-typed_root = _emitter(KnowsRecord, typed=True)
+# The tree K001 validates for a record built in memory: the canonical root
+# with each value (or list item) of exactly the class its root field declares
+# left as it is, for K001 to read the findings it keeps (see
+# :mod:`knows_sidecar.schema`); everything else emits as in the tree.
+document_tree = _emitter(KnowsRecord, typed=True)
 
 
 def record_to_tree(record: KnowsRecord) -> dict[str, Any]:

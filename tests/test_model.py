@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import FIXTURES, make_record
-from knows_sidecar import model
+from knows_sidecar import model, schema
 from knows_sidecar.errors import MalformedError, UnknownPrefixError
 from knows_sidecar.linter import lint
 from knows_sidecar.model import (
@@ -158,7 +158,7 @@ class TestEntityIndex:
 
 
 class TestKeptState:
-    """A loaded record's tree and a value's K001 findings follow the object."""
+    """A record's and a value's K001 findings follow the object."""
 
     @staticmethod
     def loaded_with_unknown_key():
@@ -170,14 +170,14 @@ class TestKeptState:
     def k001(record):
         return [(f.path, f.message) for f in lint(record).findings if f.code.value == "K001"]
 
-    def test_deepcopy_keeps_the_loaded_tree(self):
+    def test_deepcopy_keeps_the_loaded_findings(self):
         record = self.loaded_with_unknown_key()
         copied = copy.deepcopy(record)
         assert copied == record
-        # A re-emitted tree cannot hold the unknown key, so only the kept tree shows it.
+        # A re-emitted tree cannot hold the unknown key, so only the kept findings show it.
         assert self.k001(copied) == [("x_unknown", "unknown field")]
 
-    def test_replace_drops_the_loaded_tree(self):
+    def test_replace_drops_the_loaded_findings(self):
         record = self.loaded_with_unknown_key()
         edited = replace(record, title="")
         assert self.k001(edited) == [("title", "string must be non-empty")]
@@ -228,10 +228,32 @@ class TestKeptState:
         kept = {c for c in vars(model).values() if isinstance(c, type) and "_k001" in vars(c)}
         assert all(isinstance(vars(cls)["_k001"], cached_property) for cls in kept)
         assert kept == {
-            model.Author, model.Coverage, model.Artifact, model.Statement, model.Evidence,
-            model.Relation, model.Provenance, model.VersionTriple, model.Freshness,
-            model.Action, model.ExternalMetadataRef,
+            model.KnowsRecord, model.Author, model.Coverage, model.Artifact, model.Statement,
+            model.Evidence, model.Relation, model.Provenance, model.VersionTriple,
+            model.Freshness, model.Action, model.ExternalMetadataRef,
         }
+        record = self.with_untitled_artifact()
+        lint(record)
+        assert "_k001" not in vars(replace(record))
+        assert vars(copy.deepcopy(record))["_k001"] == vars(record)["_k001"] != ()
+
+    def test_lint_reports_the_findings_every_record_keeps(self):
+        planted = (("title", "planted"),)
+        for record in (self.loaded_with_unknown_key(), make_record(4)):
+            vars(record)["_k001"] = planted
+            assert self.k001(record) == [("title", "planted")]
+
+    def test_an_in_memory_record_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counted(tree):
+            calls.append(tree)
+            return validate_tree(tree)
+
+        monkeypatch.setattr(schema, "validate_tree", counted)
+        record = self.with_untitled_artifact()
+        assert self.k001(record) == self.k001(record) != []
+        assert len(calls) == 1
 
 
 class TestEntityLayout:

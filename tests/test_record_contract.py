@@ -16,9 +16,9 @@ import random
 import yaml
 
 from helpers import FIXTURES, make_record
-from knows_sidecar import schema
+from knows_sidecar import schema, serialization
 from knows_sidecar.linter import lint
-from knows_sidecar.serialization import document_tree, emit_record, load_record
+from knows_sidecar.serialization import emit_record, load_record
 
 FIXTURE_NAMES = ("bloom", "minimal", "moore", "techreport")
 FIXTURE_TREES = {
@@ -139,10 +139,11 @@ def test_fixture_and_generated_emission_digest():
 def test_mutated_tree_digests():
     emitted, logs, findings, lints = [], [], [], []
     for seed in range(MUTATIONS):
-        record, log = load_record(mutate(seed))
+        doc = mutate(seed)
+        record, log = load_record(doc)
         emitted.append(emit_record(record))
         logs.append([(e.path, e.key) for e in log.entries])
-        findings.append(schema.validate_tree(document_tree(record)))
+        findings.append(schema.validate_tree(serialization._documents(doc.decode("utf-8"))[0]))
         lints.append([(f.code.value, f.severity, f.path, f.message) for f in lint(record).findings])
     assert {
         "emitted": digest(emitted),

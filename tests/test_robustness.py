@@ -30,17 +30,19 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import ALIAS_DOCS, DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, RECORD_ORACLE
+from knows_sidecar import serialization
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.corruption import run_study
 from knows_sidecar.errors import EmissionError, KnowsError
 from knows_sidecar.graph import Registry, build_graph, export_edge_list, resolve, trace
 from knows_sidecar.linter import (
+    LintCode,
+    LintFinding,
     check_crossrefs,
     check_discoverability,
     check_id_prefixes,
     check_id_uniqueness,
     check_predicates,
-    check_schema,
     lint,
 )
 from knows_sidecar.projection import (
@@ -51,7 +53,7 @@ from knows_sidecar.projection import (
     token_report,
 )
 from knows_sidecar.schema import validate_tree
-from knows_sidecar.serialization import document_tree, emit_record, load_record
+from knows_sidecar.serialization import emit_record, load_record, record_to_tree
 
 SMALL_TREES = [
     yaml.safe_load((FIXTURES / f"{name}.knows.yaml").read_bytes())
@@ -185,15 +187,36 @@ def test_stages_fail_only_with_knows_errors(doc):
             pass
 
 
+def _parsed_tree(doc):
+    """The tree of ``doc``, parsed again as ``load_record`` parses it."""
+    return serialization._documents(doc.decode("utf-8-sig"))[0]
+
+
+@settings(deadline=None)
+@given(mutated_documents())
+@example((FIXTURES / "bloom.knows.yaml").read_bytes())
+@example((FIXTURES / "minimal.knows.yaml").read_bytes())
+@example((FIXTURES / "moore.knows.yaml").read_bytes())
+@example((FIXTURES / "techreport.knows.yaml").read_bytes())
+def test_a_loaded_record_keeps_its_findings_and_not_its_tree(doc):
+    try:
+        record, _ = load_record(doc)
+    except KnowsError:
+        return
+    assert record._k001 == tuple(validate_tree(_parsed_tree(doc)))
+    lint(record)
+    assert set(vars(record)) - {f.name for f in fields(record)} <= {"_k001", "_walk"}
+
+
 @settings(deadline=None)
 @given(mutated_documents())
 @example((FIXTURES / "moore.knows.yaml").read_bytes() + b"year: 2026.0\n")
 def test_k001_agrees_with_jsonschema(doc):
     try:
-        record, _ = load_record(doc)
+        load_record(doc)
     except KnowsError:
         return
-    tree = document_tree(record)
+    tree = _parsed_tree(doc)
     findings = validate_tree(tree)
     # The pinned divergence: JSON Schema counts an integral float such as
     # ``year: 2026.0`` as an integer, and K001 reports "expected integer".
@@ -287,7 +310,11 @@ def _edited(record, name, op):
 
 def _reference_findings(record):
     """What lint finds by the reference path: K001 on the re-emitted tree."""
-    findings = check_schema(document_tree(record)) + check_crossrefs(record)
+    findings = [
+        LintFinding(LintCode.SCHEMA, "error", path, message)
+        for path, message in validate_tree(record_to_tree(record))
+    ]
+    findings += check_crossrefs(record)
     for check in (check_id_uniqueness, check_id_prefixes, check_predicates, check_discoverability):
         findings += check(record)
     findings.sort(key=lambda f: (str(f.path), f.code.value))

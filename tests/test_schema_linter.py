@@ -213,15 +213,6 @@ def test_anchor_naming_another_class_is_dangling():
     ]
 
 
-def test_replaces_warning_needs_registry():
-    record = make_record(9, replaces="10.9999/gone")
-    assert lint(record).passed
-    report = lint(record, registry={})
-    warnings = findings_with(report, LintCode.CROSSREF)
-    assert warnings and all(f.severity == "warning" for f in warnings)
-    assert report.passed  # warnings never fail the record
-
-
 # ---------------------------------------------------------------------------
 # K003 / K004
 

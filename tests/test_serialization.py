@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,8 +11,8 @@ from knows_sidecar.errors import EmissionError, RecordSyntaxError, TypeMismatchE
 from knows_sidecar.model import Author, EntityId, Observation, Profile, SpecVersion
 from knows_sidecar.projection import token_report
 from knows_sidecar.scaffold import CandidateEvidence, ExtractedContent, ScaffoldInput, scaffold_record
+from knows_sidecar.schema import validate_tree
 from knows_sidecar.serialization import (
-    document_tree,
     emit_record,
     load_record,
     record_to_tree,
@@ -34,12 +34,12 @@ class TestLoad:
         assert record.version.record == "1"
         assert not log.entries
 
-    def test_source_tree_retained(self):
-        record, _ = load_fixture("minimal.knows.yaml")
-        tree = record._source_tree
-        assert tree is not None
-        assert tree["record_id"] == "10.1234/example"
-        assert document_tree(record) is tree
+    def test_findings_retained_not_the_tree(self):
+        text = (FIXTURES / "minimal.knows.yaml").read_text() + "x_unknown: 1\n"
+        record, _ = load_record(text)
+        tree = serialization._documents(text)[0]
+        assert record._k001 == tuple(validate_tree(tree)) == (("x_unknown", "unknown field"),)
+        assert set(vars(record)) == {f.name for f in fields(record)} | {"_k001"}
 
     def test_bom_tolerated(self):
         raw = (FIXTURES / "minimal.knows.yaml").read_bytes()

@@ -26,6 +26,7 @@ from knows_sidecar.errors import EmissionError, RecordSyntaxError
 from knows_sidecar.linter import LintCode, lint
 from knows_sidecar.model import Author, parse_profile, shown
 from knows_sidecar.scaffold import ScaffoldInput, scaffold_record
+from knows_sidecar.schema import validate_tree
 from knows_sidecar.serialization import emit_record, load_record, record_to_tree
 
 # The options emit_record has always passed to the pure emitter.
@@ -603,4 +604,6 @@ def test_pinned_loader_differences(monkeypatch, doc, pure, fast):
                 load_record(doc)
         else:
             record, _ = load_record(doc)
-            assert record._source_tree == expected
+            tree = serialization._documents(doc)[0]
+            assert tree == expected
+            assert record._k001 == tuple(validate_tree(tree))

@@ -1,7 +1,8 @@
 """The ``knows`` command line tool.
 
 Exit codes are stable: 0 success, 1 failed lint / failed gates / an abstain
-or not_found answer, 2 usage errors, 3 I/O or parse errors.  Setting
+or not_found answer / a record, seed or chain start the registry refuses or
+lacks, 2 usage errors, 3 I/O or parse errors.  Setting
 ``KNOWS_NO_NETWORK=1`` disables URL probing regardless of flags.
 """
 
@@ -131,7 +132,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     record = _read_record(args.file)
-    registry = Registry([record])
+    try:
+        registry = Registry([record])
+    except KnowsError as exc:
+        print(f"query: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     passage_source = None
     if args.passages:
         passage_source = page_file_provider(_read_text(args.passages))
@@ -172,9 +177,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     records = [_read_record(path) for path in args.files]
-    registry = Registry(records)
+    try:
+        if args.chain:
+            chain = version_chain(args.chain, Registry(records))
+        elif args.seed:
+            qualified, _ = resolve(args.seed, records[0].record_id, Registry(records))
+    except KnowsError as exc:
+        print(f"graph: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if args.chain:
-        chain = version_chain(args.chain, registry)
         for record_id in chain.links:
             print(record_id)
         if not chain.complete:
@@ -182,12 +193,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
         return EXIT_OK
     graph = build_graph(records)
     if args.seed:
-        try:
-            home = records[0].record_id
-            qualified, _ = resolve(args.seed, home, registry)
-        except KnowsError as exc:
-            print(f"graph: {exc}", file=sys.stderr)
-            return EXIT_FAIL
         predicates = set(args.predicates.split(",")) if args.predicates else None
         graph = trace(qualified, graph, predicates=predicates, depth=args.depth)
     print(export_edge_list(graph))
@@ -263,13 +268,26 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _positive_int(text: str) -> int:
+def _int_from(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+def _unit_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
     return value
 
 
@@ -309,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("question")
     p.add_argument("--mode", choices=["only", "fallback"], default="only")
-    p.add_argument("--tau", type=float, default=0.7)
-    p.add_argument("-k", type=_positive_int, default=5)
+    p.add_argument("--tau", type=_unit_float, default=0.7)
+    p.add_argument("-k", type=_int_from(1), default=5)
     p.add_argument("--passages", help="[PAGE n]-marked text file for fallback")
     p.set_defaults(func=cmd_query)
 
@@ -318,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--seed", help="entity reference to trace from")
     p.add_argument("--predicates", help="comma-separated predicate filter")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_int_from(0), default=1)
     p.add_argument("--chain", help="record_id whose version chain to print")
     p.set_defaults(func=cmd_graph)
 

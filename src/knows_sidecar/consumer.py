@@ -9,6 +9,7 @@ passages when the sidecar-only answer is weak or hedged.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -357,6 +358,7 @@ def consume(
     """Answer a query from a sidecar, optionally falling back to passages.
 
     ``mode`` is ``only`` or ``fallback``; fallback requires a passage source.
+    Stage 1 stands when its confidence reaches ``tau``, which must not be NaN.
     A missing, version-refused, or lint-failing sidecar yields ``not_found``
     flagged as requiring the baseline document read.
     """
@@ -364,6 +366,8 @@ def consume(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "fallback" and passage_source is None:
         raise ValueError("fallback mode requires a passage_source")
+    if math.isnan(tau):
+        raise ValueError("tau is NaN, which no confidence can be compared with")
     now = now or _now_utc()
 
     record = cache.get_latest(artifact_id, now) if cache is not None else None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import (
     ClassMismatchError,
@@ -37,20 +37,16 @@ class Edge:
 
 class _Positions:
     """Where each key occurs in a sequence, chained: ``last[key]``, then ``before[i]`` from
-    each position ``i`` until -1.  Flat, as a list per key costs the GC an object per node."""
+    each position ``i`` until -1; ``keys[i]`` is the key at ``i``.  Flat, as a list per key
+    costs the GC an object per node."""
 
-    def __init__(self, keys: Iterable[str]) -> None:
+    def __init__(self, keys: list[str]) -> None:
+        self.keys = keys
         self.last: dict[str, int] = {}
         self.before: list[int] = []
         for i, key in enumerate(keys):
             self.before.append(self.last.get(key, -1))
             self.last[key] = i
-
-    def of(self, key: str) -> Iterator[int]:
-        i = self.last.get(key, -1)
-        while i >= 0:
-            yield i
-            i = self.before[i]
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,11 @@ class RelationGraph:
 
     @cached_property
     def _index(self) -> tuple[_Positions, _Positions, _Positions]:
-        """Node, edge subject and edge object positions; build_graph presets it."""
+        """Node, edge subject and edge object positions and keys; build_graph presets it."""
         return (
-            _Positions(map(str, self.nodes)),
-            _Positions(str(e.subject) for e in self.edges),
-            _Positions(str(e.object) for e in self.edges),
+            _Positions([str(n) for n in self.nodes]),
+            _Positions([str(e.subject) for e in self.edges]),
+            _Positions([str(e.object) for e in self.edges]),
         )
 
 
@@ -170,7 +166,7 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
             subject_keys.append(subject_key)
             object_keys.append(object_key)
     graph = RelationGraph(nodes=tuple(nodes.values()), edges=tuple(edges), dangling=tuple(dangling))
-    index = (_Positions(nodes), _Positions(subject_keys), _Positions(object_keys))
+    index = (_Positions(list(nodes)), _Positions(subject_keys), _Positions(object_keys))
     object.__setattr__(graph, "_index", index)
     return graph
 
@@ -200,6 +196,9 @@ def version_chain(start: str, registry: Registry) -> VersionChain:
     return VersionChain(links=tuple(links), complete=True)
 
 
+_DIRECTIONS = ("both", "forward", "backward")
+
+
 def trace(
     seed: QualifiedId,
     graph: RelationGraph,
@@ -210,35 +209,57 @@ def trace(
 ) -> RelationGraph:
     """Subgraph reachable from ``seed`` within ``depth`` hops.
 
-    Edges are followed in both directions by default; the predicate filter,
-    when given, restricts which edges may be traversed.  A hop reads only the
-    edges at its frontier.  Nodes come in graph order; edges by hop, then position.
+    Edges are followed in both directions by default (``direction`` is
+    ``both``, ``forward`` or ``backward``); the predicate filter, when given,
+    restricts which edges may be traversed.  A hop reads only the edges at its
+    frontier, and their endpoint keys by position, as ``build_graph`` rendered
+    them; only the seed is rendered here.  Nodes come in graph order; edges by
+    hop, then position.
     """
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}; expected {', '.join(_DIRECTIONS)}")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     nodes, subjects, objects = graph._index
-    if str(seed) not in nodes.last:
+    seed_key = str(seed)
+    if seed_key not in nodes.last:
         raise UnknownEntityError(f"seed {seed} is not a node of the graph")
     ends = [p for p, way in ((subjects, "forward"), (objects, "backward")) if direction in ("both", way)]
-    reached: set[str] = {str(seed)}
-    frontier: set[str] = {str(seed)}
+    edges, subject_keys, object_keys = graph.edges, subjects.keys, objects.keys
+    reached: set[str] = {seed_key}
+    frontier: list[str] = [seed_key]
     used_edges: list[Edge] = []
-    used_keys: set[int] = set()
+    used: set[int] = set()
     for _ in range(depth):
         if not frontier:
             break
-        next_frontier: set[str] = set()
-        incident = {i for key in frontier for end in ends for i in end.of(key)}
-        for i in sorted(incident - used_keys):
-            edge = graph.edges[i]
+        incident: set[int] = set()
+        for end in ends:
+            last, before = end.last, end.before
+            for key in frontier:
+                i = last.get(key, -1)
+                while i >= 0:
+                    incident.add(i)
+                    i = before[i]
+        frontier = []
+        for i in sorted(incident - used):
+            edge = edges[i]
             if predicates is not None and edge.predicate not in predicates:
                 continue
-            used_keys.add(i)
+            used.add(i)
             used_edges.append(edge)
-            for endpoint in (str(edge.subject), str(edge.object)):
-                if endpoint not in reached:
-                    reached.add(endpoint)
-                    next_frontier.add(endpoint)
-        frontier = next_frontier
-    positions = sorted(i for key in reached for i in nodes.of(key))
+            for key in (subject_keys[i], object_keys[i]):
+                if key not in reached:
+                    reached.add(key)
+                    frontier.append(key)
+    positions: list[int] = []
+    last, before = nodes.last, nodes.before
+    for key in reached:
+        i = last.get(key, -1)
+        while i >= 0:
+            positions.append(i)
+            i = before[i]
+    positions.sort()
     return RelationGraph(nodes=tuple(graph.nodes[i] for i in positions), edges=tuple(used_edges))
 
 

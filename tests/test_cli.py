@@ -180,6 +180,21 @@ class TestQuery:
         assert exc.value.code == 2
         assert "argument -k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "1.5", "inf", "-inf", "-0.1", "high"])
+    def test_tau_outside_the_unit_interval_is_usage_error(self, tau, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("query", fx("moore.knows.yaml"), "cost per component", "--mode", "fallback",
+                "--passages", fx("moore_pages.txt"), "--tau", tau)
+        assert exc.value.code == 2
+        assert "argument --tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau, pages", [("0", []), ("0.3", []), ("1", [3, 4])])
+    def test_tau_in_the_unit_interval_sets_the_fallback_gate(self, tau, pages, capsys):
+        code = run("query", fx("moore.knows.yaml"), "cost per component", "--mode", "fallback",
+                   "--passages", fx("moore_pages.txt"), "--tau", tau)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["pages"] == pages
+
     def test_k_one_answers_from_the_top_result(self, capsys):
         code = run("query", fx("bloom.knows.yaml"), "six levels taxonomy order", "-k", "1")
         assert code == 0
@@ -224,6 +239,17 @@ class TestGraph:
         assert run("graph", str(path)) == 0
         assert "edges=1" in capsys.readouterr().out
         assert run("graph", str(path), "--seed", "art:paper", "--predicates", "cites") == 0
+
+    @pytest.mark.parametrize("depth", ["-1", "-3", "two"])
+    def test_depth_below_zero_is_usage_error(self, depth, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("graph", fx("moore.knows.yaml"), "--seed", "stmt:scaling", "--depth", depth)
+        assert exc.value.code == 2
+        assert "argument --depth" in capsys.readouterr().err
+
+    def test_depth_zero_prints_the_seed_alone(self, capsys):
+        assert run("graph", fx("moore.knows.yaml"), "--seed", "stmt:scaling", "--depth", "0") == 0
+        assert capsys.readouterr().out == "# nodes=1 edges=0\n"
 
     def test_unknown_seed_exit_one(self):
         assert run("graph", fx("techreport.knows.yaml"), "--seed", "art:ghost") == 1

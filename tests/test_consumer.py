@@ -225,6 +225,32 @@ class TestConsume:
         assert answer.status == "answer"
         assert answer.trace.passages == ()
 
+    def test_nan_tau_is_rejected(self):
+        with pytest.raises(ValueError, match="tau is NaN"):
+            consume(
+                Query("cost per component"),
+                "moore-1965",
+                mode="fallback",
+                tau=float("nan"),
+                registry=self.registry,
+                passage_source=self.pages,
+            )
+
+    @pytest.mark.parametrize("tau, pages", [(0.3, []), (1.0, [3, 4]), (2.0, [3, 4])])
+    def test_tau_decides_the_fallback(self, tau, pages):
+        # Stage 1 answers "cost per component" with confidence 2/3; a tau above
+        # 1 stays legal, so that a caller can force the fallback.
+        answer = consume(
+            Query("cost per component"),
+            "moore-1965",
+            mode="fallback",
+            tau=tau,
+            registry=self.registry,
+            passage_source=self.pages,
+        )
+        assert answer.status == "answer"
+        assert sorted({p.page for p in answer.trace.passages}) == pages
+
     def test_fallback_requires_source(self):
         with pytest.raises(ValueError):
             consume(Query("q"), "bloom-1956", mode="fallback", registry=self.registry)

@@ -169,6 +169,16 @@ class TestTrace:
         with pytest.raises(UnknownEntityError):
             trace(QualifiedId("x", EntityId("art", "nope")), self.graph)
 
+    @pytest.mark.parametrize("direction", ["sideways", "Both", "", "forwards"])
+    def test_unknown_direction_raises(self, direction):
+        with pytest.raises(ValueError, match="unknown direction"):
+            trace(self.seed, self.graph, depth=2, direction=direction)
+
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_depth_raises(self, depth):
+        with pytest.raises(ValueError, match="depth must be at least 0"):
+            trace(self.seed, self.graph, depth=depth)
+
     def test_predicate_filter(self):
         sub = trace(self.seed, self.graph, predicates={"cites"}, depth=1)
         assert sub.edges

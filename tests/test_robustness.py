@@ -4,7 +4,8 @@ A Hypothesis strategy mutates the fixture trees: it sets values to junk (sets
 among it), adds keys, removes keys and points slots at containers elsewhere in
 the tree, which the document writes as YAML aliases.  Each mutated document
 goes through ``load_record``, ``lint``, ``emit_record``, ``build_graph``,
-``trace``, ``export_edge_list``, ``token_report``, a ``Registry`` with
+``trace`` (which must trace as on the same graph rebuilt by hand, whose keys
+are rendered anew), ``export_edge_list``, ``token_report``, a ``Registry`` with
 ``resolve`` of every entity ID, ``consume`` in ``only`` mode (twice) and
 ``fallback`` mode through one ``SidecarCache``, and ``run_study`` over the one
 record.  ``lint`` never raises; every other stage raises only ``KnowsError``,
@@ -34,7 +35,7 @@ from knows_sidecar import serialization
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.corruption import run_study
 from knows_sidecar.errors import EmissionError, KnowsError
-from knows_sidecar.graph import Registry, build_graph, export_edge_list, resolve, trace
+from knows_sidecar.graph import RelationGraph, Registry, build_graph, export_edge_list, resolve, trace
 from knows_sidecar.linter import (
     LintCode,
     LintFinding,
@@ -138,6 +139,14 @@ def _graph_stages(record):
     export_edge_list(graph)
     if graph.nodes:
         export_edge_list(trace(graph.nodes[0], graph, predicates={"cites"}, depth=2))
+    # The keys build_graph keeps trace as the keys a graph built by hand renders.
+    rendered = RelationGraph(graph.nodes, graph.edges, graph.dangling)
+    for seed in graph.nodes:
+        for direction in ("both", "forward", "backward"):
+            for depth in range(4):
+                for predicates in (None, {"cites"}):
+                    kwargs = dict(predicates=predicates, depth=depth, direction=direction)
+                    assert trace(seed, graph, **kwargs) == trace(seed, rendered, **kwargs)
 
 
 PAGES = page_file_provider((FIXTURES / "moore_pages.txt").read_text())

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import corruption, matched
-from .consumer import Query, consume, page_file_provider, parse_page_markers
+from .consumer import DEFAULT_TAU, Query, consume, page_file_provider, parse_page_markers
 from .errors import InvalidInputError, KnowsError, MalformedError
 from .graph import Registry, build_graph, export_edge_list, resolve, trace, version_chain
 from .linter import LintReport, lint, render_lines, render_text
@@ -120,13 +120,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     record = _read_record(args.file)
-    check_urls = args.check_urls and not _no_network()
-    report = lint(
-        record,
-        check_urls=check_urls,
-        fetcher=_default_fetcher if check_urls else None,
-        liveness_errors=args.liveness_errors,
-    )
+    fetcher = _default_fetcher if args.check_urls and not _no_network() else None
+    report = lint(record, fetcher=fetcher, liveness_errors=args.liveness_errors)
     return _print_report(report, args.format)
 
 
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("question")
     p.add_argument("--mode", choices=["only", "fallback"], default="only")
-    p.add_argument("--tau", type=_unit_float, default=0.7)
+    p.add_argument("--tau", type=_unit_float, default=DEFAULT_TAU)
     p.add_argument("-k", type=_int_from(1), default=5)
     p.add_argument("--passages", help="[PAGE n]-marked text file for fallback")
     p.set_defaults(func=cmd_query)

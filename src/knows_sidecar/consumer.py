@@ -188,12 +188,10 @@ def reference_composer(
     return "\n".join(parts), confidence
 
 
-def detect_hedging(
-    text: str, phrases: Sequence[str] = DEFAULT_HEDGING_PHRASES
-) -> bool:
+def detect_hedging(text: str) -> bool:
     """Whole-phrase hedging detection over the case-folded text."""
     folded = text.casefold()
-    return any(phrase.casefold() in folded for phrase in phrases)
+    return any(phrase in folded for phrase in DEFAULT_HEDGING_PHRASES)
 
 
 # ---------------------------------------------------------------------------
@@ -206,51 +204,30 @@ def _instant(text: str) -> datetime:
     return moment if moment.tzinfo is not None else moment.replace(tzinfo=timezone.utc)
 
 
-# The deadline of an entry whose ``stale_after`` does not parse: stale at once.
+# The deadline of a record whose ``stale_after`` does not parse: stale at once.
 _ALREADY_STALE = datetime.min.replace(tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    record: KnowsRecord
-    stale_after: Optional[datetime] = None
-
-
 class SidecarCache:
-    """Record cache keyed by (record_id, version.record), freshness-aware."""
+    """The last record put per ``record_id``, freshness-aware."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], CacheEntry] = {}
-        self._latest: dict[str, tuple[str, str]] = {}
+        self._latest: dict[str, tuple[KnowsRecord, Optional[datetime]]] = {}
 
     def put(self, record: KnowsRecord, *, now: Optional[str] = None) -> None:
-        version = record.version.record if record.version else ""
-        key = (record.record_id, version)
         stale_after = record.freshness.stale_after if record.freshness else None
         if stale_after is not None:
             try:
                 stale_after = _instant(stale_after)
             except MalformedError:
                 stale_after = _ALREADY_STALE
-        self._entries[key] = CacheEntry(record=record, stale_after=stale_after)
-        self._latest[record.record_id] = key
-
-    def get(self, key: tuple[str, str], now: str) -> Optional[KnowsRecord]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.stale_after is not None and _instant(now) >= entry.stale_after:
-            return None
-        return entry.record
+        self._latest[record.record_id] = (record, stale_after)
 
     def get_latest(self, record_id: str, now: str) -> Optional[KnowsRecord]:
-        key = self._latest.get(record_id)
-        if key is None:
+        record, stale_after = self._latest.get(record_id, (None, None))
+        if stale_after is not None and _instant(now) >= stale_after:
             return None
-        return self.get(key, now)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return record
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,10 @@ def check_url_liveness(
 def lint(
     record: KnowsRecord,
     *,
-    check_urls: bool = False,
     fetcher: Optional[UrlProbe] = None,
     liveness_errors: bool = False,
 ) -> LintReport:
-    """Run checks K001-K006, plus K007 when ``check_urls`` is set.
+    """Run checks K001-K006, plus K007 through ``fetcher`` when one is given.
 
     Violations become findings; lint itself never raises on record content.
     Findings are sorted by (path, code) so reports are canonical.
@@ -324,9 +323,7 @@ def lint(
     findings.extend(check_predicates(record))
     findings.extend(check_discoverability(record))
     checks_run = 6
-    if check_urls:
-        if fetcher is None:
-            raise ValueError("check_urls requires a fetcher")
+    if fetcher is not None:
         findings.extend(
             check_url_liveness(record, fetcher, as_errors=liveness_errors)
         )

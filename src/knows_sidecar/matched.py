@@ -89,11 +89,9 @@ def _normalized_page(page_text: str) -> str:
     return normalize_text(page_text)
 
 
-def quote_in_page(quote: str, page_text: str, *, normalize: bool = True) -> bool:
-    """Contiguous-substring check, after normalization when enabled."""
-    if normalize:
-        return normalize_text(quote) in _normalized_page(page_text)
-    return quote in page_text
+def quote_in_page(quote: str, page_text: str) -> bool:
+    """Contiguous-substring check of the normalized quote in the normalized page."""
+    return normalize_text(quote) in _normalized_page(page_text)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,6 @@ class ItemVerdict:
 def validate_matched_output(
     raw: Union[str, bytes, Mapping[str, Any]],
     context_pages: Mapping[int, str],
-    *,
-    normalize: bool = True,
 ) -> ItemVerdict:
     """Score one raw output against the pages its agent was shown.
 
@@ -123,7 +119,7 @@ def validate_matched_output(
     page_ok = all(entry.page in context_pages for entry in parsed.evidence)
     quote_ok = all(
         entry.page in context_pages
-        and quote_in_page(entry.quote, context_pages[entry.page], normalize=normalize)
+        and quote_in_page(entry.quote, context_pages[entry.page])
         for entry in parsed.evidence
     )
     return ItemVerdict(True, page_ok, quote_ok, parsed=parsed)

@@ -545,10 +545,6 @@ class KnowsRecord:
         """Every entity with its path, in document order."""
         return self._walk[0]
 
-    def all_entity_ids(self) -> list[tuple[EntityId, str]]:
-        """Every entity ID in the record with the path of its owner."""
-        return [(entity.id, path) for entity, path in self._walk[0]]
-
     def entity_index(self) -> Mapping[str, Any]:
         """Rendered entity ID -> entity, first in document order wins; read-only."""
         return MappingProxyType(self._walk[1])

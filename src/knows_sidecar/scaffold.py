@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 from .errors import InvalidInputError
 from .model import (
@@ -83,9 +83,9 @@ class ScaffoldInput:
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
-def slugify(text: str, fallback: str = "item") -> str:
+def slugify(text: str) -> str:
     slug = _SLUG_RE.sub("-", text.lower()).strip("-")
-    return slug[:60] or fallback
+    return slug[:60] or "item"
 
 
 class _IdAllocator:
@@ -196,13 +196,7 @@ def scaffold_record(
         statements=statements,
         evidence=evidence,
         relations=(),
-        provenance=Provenance(
-            origin="author",
-            actor=Actor(name="TODO: actor", type="person"),
-            generated_at=now,
-        ),
-        version=VersionTriple(spec=SpecVersion(0, 9, 0), record="1", source="TODO: source"),
-        freshness=Freshness(as_of=now, update_policy="versioned"),
+        **_stamps("author", Actor(name="TODO: actor", type="person"), now),
     )
 
 
@@ -227,14 +221,22 @@ def fill_provenance(
     source: Optional[str] = None,
 ) -> KnowsRecord:
     """Set provenance, version, and freshness blocks; idempotent for fixed now."""
-    return replace(
-        record,
+    source = source or (record.version.source if record.version else "TODO: source")
+    return replace(record, **_stamps(origin, actor, now, method=method, source=source))
+
+
+def _stamps(
+    origin: str,
+    actor: Actor,
+    now: str,
+    *,
+    method: Optional[str] = None,
+    source: str = "TODO: source",
+) -> dict[str, Any]:
+    """The provenance, version (record 1) and freshness blocks stamped at ``now``."""
+    return dict(
         provenance=Provenance(origin=origin, actor=actor, generated_at=now, method=method),
-        version=VersionTriple(
-            spec=SpecVersion(0, 9, 0),
-            record="1",
-            source=source or (record.version.source if record.version else "TODO: source"),
-        ),
+        version=VersionTriple(spec=SpecVersion(0, 9, 0), record="1", source=source),
         freshness=Freshness(as_of=now, update_policy="versioned"),
     )
 

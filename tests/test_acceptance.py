@@ -160,7 +160,7 @@ def test_criterion_07_matched_output_gates():
     ):
         items = json.loads((FIXTURES / matched).read_text())
         pages = parse_page_markers((FIXTURES / context).read_text())
-        verdicts.extend(validate_matched_output(item, pages, normalize=True) for item in items)
+        verdicts.extend(validate_matched_output(item, pages) for item in items)
     report = gate_report(verdicts)
     ok = (report.parse_rate, report.page_echo_rate, report.quote_verbatim_rate) == (1.0, 1.0, 1.0)
     verdict(7, ok, f"gates {report.parse_rate:.0%}/{report.page_echo_rate:.0%}/"
@@ -192,9 +192,9 @@ def test_criterion_09_graph_oracle_1000():
     registry = Registry(records)
     graph = build_graph(records)
     table = {
-        (r.record_id, str(eid)): r.entity_index()[str(eid)]
+        (r.record_id, str(entity.id)): r.entity_index()[str(entity.id)]
         for r in records
-        for eid, _ in r.all_entity_ids()
+        for entity, _ in r.entities()
     }
     locals_ = sorted({k[1] for k in table})
     ids = [r.record_id for r in records]

@@ -212,9 +212,9 @@ def test_resolve_and_trace_match_brute_force():
     registry = Registry(records)
     graph = build_graph(records)
     entity_table = {
-        (r.record_id, str(eid)): r.entity_index()[str(eid)]
+        (r.record_id, str(entity.id)): r.entity_index()[str(entity.id)]
         for r in records
-        for eid, _ in r.all_entity_ids()
+        for entity, _ in r.entities()
     }
     all_prefixed = sorted({key[1] for key in entity_table})
     record_ids = [r.record_id for r in records]

@@ -283,7 +283,6 @@ class TestEntityLayout:
             expected += [(e, f"{name}/{i}") for i, e in enumerate(getattr(record, name))]
         assert any("representations" in path for _, path in expected)
         assert list(record.entities()) == expected
-        assert record.all_entity_ids() == [(e.id, path) for e, path in expected]
 
     def test_as_ref(self):
         local = EntityId("stmt", "x")

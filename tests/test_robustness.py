@@ -156,9 +156,9 @@ NOW = "2026-05-01T00:00:00Z"
 
 def _registry_stages(record):
     registry = Registry([record])
-    for entity_id, _ in record.all_entity_ids():
+    for entity, _ in record.entities():
         try:
-            resolve(str(entity_id), record.record_id, registry)
+            resolve(str(entity.id), record.record_id, registry)
         except KnowsError:
             pass
     cache = SidecarCache()

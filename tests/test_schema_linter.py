@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from helpers import FIXTURES, RECORD_ORACLE, make_record
-from knows_sidecar import schema
+from knows_sidecar import linter, schema
 from knows_sidecar.graph import Registry, resolve
 from knows_sidecar.linter import (
     LintCode,
@@ -384,7 +384,7 @@ def test_liveness_warning_by_default():
 
 def test_liveness_errors_flag():
     record = load_fixture("techreport.knows.yaml")
-    report = lint(record, check_urls=True, fetcher=lambda url: 500, liveness_errors=True)
+    report = lint(record, fetcher=lambda url: 500, liveness_errors=True)
     assert report.checks_run == 7
     assert not report.passed
 
@@ -399,9 +399,10 @@ def test_liveness_accepts_redirects_and_tolerates_exceptions():
     assert check_url_liveness(record, fetcher=boom)
 
 
-def test_lint_never_probes_without_flag():
-    def forbidden(url):
+def test_lint_never_probes_without_flag(monkeypatch):
+    def forbidden(*args, **kwargs):
         raise AssertionError("probe attempted")
 
-    report = lint(load_fixture("techreport.knows.yaml"), fetcher=forbidden)
+    monkeypatch.setattr(linter, "check_url_liveness", forbidden)
+    report = lint(load_fixture("techreport.knows.yaml"))
     assert report.checks_run == 6

@@ -45,7 +45,7 @@ def tokenize(text: str) -> set[str]:
     return set(_TOKEN_RE.findall(text.casefold()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     text: str
     k: int = 5
@@ -55,7 +55,7 @@ class Query:
             raise ValueError(f"k must be at least 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredEntity:
     entity: Union[Statement, Evidence]
     score: float
@@ -113,13 +113,13 @@ def collect_anchors(results: Sequence[ScoredEntity]) -> list[SourceAnchor]:
     return anchors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     page: int
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationTrace:
     used: tuple[str, ...] = ()
     anchors: tuple[SourceAnchor, ...] = ()
@@ -127,7 +127,7 @@ class CitationTrace:
     overridden: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComposedAnswer:
     status: str  # answer | partial | abstain | not_found
     text: str

@@ -124,7 +124,7 @@ def applicable(record: KnowsRecord, kind: InjectionKind) -> bool:
     return bool(targets(record))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Injection:
     kind: InjectionKind
     target: str
@@ -142,14 +142,14 @@ def inject(record: KnowsRecord, kind: InjectionKind, seed: int) -> Injection:
     return Injection(kind, target, corrupted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KindResult:
     kind: InjectionKind
     applicable: int
     detected: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionReport:
     corpus_size: int
     results: tuple[KindResult, ...]

@@ -16,7 +16,7 @@ from .errors import (
 from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, as_ref, parse_ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualifiedId:
     """Registry-stable entity name, rendered ``record_id#prefix:local``."""
 
@@ -27,7 +27,7 @@ class QualifiedId:
         return f"{self.record_id}#{self.entity_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     subject: QualifiedId
     predicate: str
@@ -171,7 +171,7 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     return graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionChain:
     links: tuple[str, ...]
     complete: bool

@@ -47,7 +47,7 @@ class LintCode(str, Enum):
     URL_LIVENESS = "K007"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LintFinding:
     code: LintCode
     severity: str  # "error" | "warning"
@@ -55,7 +55,7 @@ class LintFinding:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LintReport:
     findings: tuple[LintFinding, ...]
     checks_run: int

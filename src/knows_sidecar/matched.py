@@ -28,7 +28,7 @@ PAGE_ECHO_THRESHOLD = 0.90
 QUOTE_VERBATIM_THRESHOLD = 0.80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedEvidence:
     source: str = field(metadata={"enum": SOURCE_VALUES})
     page: int = field(metadata={"minimum": 0})
@@ -36,7 +36,7 @@ class MatchedEvidence:
     support: str = field(metadata={"enum": SUPPORT_VALUES})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedOutput:
     item_id: str = field(metadata={"minLength": 1})
     status: str = field(metadata={"enum": STATUS_VALUES})
@@ -94,7 +94,7 @@ def quote_in_page(quote: str, page_text: str) -> bool:
     return normalize_text(quote) in _normalized_page(page_text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemVerdict:
     parse_ok: bool
     page_echo_ok: bool
@@ -125,7 +125,7 @@ def validate_matched_output(
     return ItemVerdict(True, page_ok, quote_ok, parsed=parsed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateReport:
     total: int
     parse_rate: float

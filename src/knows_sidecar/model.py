@@ -39,7 +39,11 @@ it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
 (``_k001``), relative to itself: a loaded record's are those of the tree it
 was parsed from, which it does not keep.  :mod:`knows_sidecar.schema` sets
 that property on the classes when it compiles ``RECORD_SCHEMA``, since this
-module cannot import the schema.
+module cannot import the schema.  So a dataclass of the package has an
+instance ``__dict__`` exactly when it keeps state: ``KnowsRecord``, the
+classes root fields hold, and ``graph.RelationGraph`` (``_index``).  Every
+other one is slotted (``slots=True``): a value that keeps nothing carries no
+per-instance dict, which is most of a record's objects.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def shown(value: Any, show: Callable[[Any], str] = repr, outer: Optional[set] = 
 # Identifiers and references
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityId:
     """A prefixed local identifier, rendered ``<prefix>:<local>``."""
 
@@ -162,7 +166,7 @@ class EntityId:
         return PREFIX_CLASS[self.prefix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     """A local entity reference, or a remote one qualified by a record_id."""
 
@@ -180,6 +184,8 @@ class Ref:
 
 
 _LOCAL_FORBIDDEN = re.compile(r"[#\s]")
+# Each prefix as the one ``PREFIX_CLASS`` key object, so parsed ids share it.
+_PREFIX_KEYS = {prefix: prefix for prefix in PREFIX_CLASS}
 
 
 def parse_entity_id(text: str) -> EntityId:
@@ -194,9 +200,10 @@ def parse_entity_id(text: str) -> EntityId:
     prefix, _, local = text.partition(":")
     if not local or _LOCAL_FORBIDDEN.search(local):
         raise MalformedError(f"bad local part in entity id: {text!r}")
-    if prefix not in PREFIX_CLASS:
+    key = _PREFIX_KEYS.get(prefix)
+    if key is None:
         raise UnknownPrefixError(f"unknown id prefix {prefix!r} in {text!r}")
-    return EntityId(prefix, local)
+    return EntityId(key, local)
 
 
 def parse_ref(text: str) -> Ref:
@@ -213,7 +220,7 @@ def parse_ref(text: str) -> Ref:
     return Ref(parse_entity_id(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecVersion:
     major: int
     minor: int
@@ -238,7 +245,7 @@ def reader_accepts(record_version: SpecVersion, reader_version: SpecVersion) -> 
     return record_version.major <= reader_version.major
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     name: str
     major: int
@@ -272,7 +279,7 @@ STRING_PARSERS = {
 # Entity building blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifiers:
     doi: Optional[str] = _meta(None, minLength=1)
     arxiv: Optional[str] = _meta(None, minLength=1)
@@ -283,33 +290,33 @@ class Identifiers:
         return any(v is not None for v in (self.doi, self.arxiv, self.isbn, self.url))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Locator:
     type: str = _vocab("path", "url")
     value: str = _meta(minLength=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Representation:
     id: EntityId = _meta(minLength=1)
     media_type: str = _meta(minLength=1)
     locator: Locator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceAnchor:
     representation_ref: EntityId = _meta(minLength=1)
     locator_type: str = _vocab("section", "table", "figure", "page", "equation", "other")
     locator: str = _meta(minLength=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Confidence:
     claim_strength: str = _meta(enum=_CONFIDENCE_LEVELS)
     extraction_fidelity: str = _meta(enum=_CONFIDENCE_LEVELS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     metric: str = _meta(minLength=1)
     value: Optional[float] = _meta(None, raw=True)
@@ -317,7 +324,7 @@ class Observation:
     qualitative_value: Optional[str] = _meta(None, minLength=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Actor:
     name: str = _meta(minLength=1)
     type: str = _vocab("person", "organization", "agent")
@@ -333,7 +340,7 @@ class Provenance:
     x_extensions: Optional[dict[str, Any]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SafetyPolicy:
     sandbox_required: bool
     network: bool
@@ -341,7 +348,7 @@ class SafetyPolicy:
     side_effects: str = _vocab("none", "temporary_files_only", "persistent", "external")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionInterface:
     kind: str = _vocab("http", "cli", "other")
     locator: str = _meta(minLength=1)
@@ -556,7 +563,7 @@ class KnowsRecord:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """One field of the shape table, its type hint taken apart.
 

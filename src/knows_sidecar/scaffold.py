@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol
 
 from .errors import InvalidInputError
 from .model import (
@@ -39,21 +39,21 @@ from .model import (
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateStatement:
     statement_type: str
     text: str
     anchor_hint: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateEvidence:
     evidence_type: str
     summary: str
     observations: tuple[Observation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractedContent:
     statements: tuple[CandidateStatement, ...] = ()
     evidence: tuple[CandidateEvidence, ...] = ()
@@ -70,7 +70,7 @@ def null_extractor(locator: Locator) -> ExtractedContent:
     return ExtractedContent()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaffoldInput:
     title: str
     authors: tuple[Author, ...]

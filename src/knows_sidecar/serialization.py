@@ -38,13 +38,13 @@ from .errors import EmissionError, MalformedError, RecordSyntaxError, TypeMismat
 from .model import KnowsRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnknownFieldEntry:
     path: str
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnknownFieldLog:
     entries: tuple[UnknownFieldEntry, ...]
 

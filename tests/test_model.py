@@ -1,13 +1,18 @@
 import copy
-from dataclasses import replace
+import importlib
+import pickle
+import pkgutil
+from dataclasses import fields, is_dataclass, replace
 from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
 
+import knows_sidecar
 from helpers import FIXTURES, make_record
 from knows_sidecar import model, schema
 from knows_sidecar.errors import MalformedError, UnknownPrefixError
+from knows_sidecar.graph import RelationGraph
 from knows_sidecar.linter import lint
 from knows_sidecar.model import (
     EntityId,
@@ -50,6 +55,11 @@ class TestEntityId:
     def test_unknown_prefix_is_malformed(self):
         # callers may catch the broad class only
         assert issubclass(UnknownPrefixError, MalformedError)
+
+    def test_parsed_ids_share_the_prefix_object(self):
+        key = next(prefix for prefix in model.PREFIX_CLASS if prefix == "stmt")
+        first, second = parse_entity_id("stmt:a"), parse_entity_id("".join(["stmt", ":b"]))
+        assert first.prefix is second.prefix is key
 
     local_part = st.text(
         alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.:",
@@ -290,3 +300,71 @@ class TestEntityLayout:
         assert as_ref(local) == Ref(local)
         assert as_ref(remote) is remote
         assert as_ref("stmt:x") is None and as_ref(None) is None
+
+
+def _package_dataclasses():
+    """Every dataclass the package's modules define."""
+    found = []
+    for info in pkgutil.iter_modules(knows_sidecar.__path__):
+        module = importlib.import_module(f"{knows_sidecar.__name__}.{info.name}")
+        found += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type) and is_dataclass(value) and value.__module__ == module.__name__
+        ]
+    return found
+
+
+def _keeps_state(cls):
+    return any(isinstance(value, cached_property) for value in vars(cls).values())
+
+
+def _has_dict(cls):
+    return any("__dict__" in vars(base) for base in cls.__mro__)
+
+
+def _values(value, found):
+    """The dataclass values under ``value``, first of each class, into ``found``."""
+    if isinstance(value, tuple):
+        for item in value:
+            _values(item, found)
+    elif is_dataclass(value):
+        found.setdefault(type(value), value)
+        for f in fields(value):
+            _values(getattr(value, f.name), found)
+
+
+class TestLayout:
+    """A dataclass carries a ``__dict__`` exactly when it keeps state; the rest are slotted."""
+
+    def test_only_the_classes_that_keep_state_have_a_dict(self):
+        classes = _package_dataclasses()
+        keeping = {KnowsRecord, RelationGraph} | {cls for cls in classes if "_k001" in vars(cls)}
+        assert {cls for cls in classes if _keeps_state(cls)} == keeping
+        assert {cls for cls in classes if _has_dict(cls)} == keeping
+
+    def test_every_other_dataclass_is_slotted(self):
+        stateless = [cls for cls in _package_dataclasses() if not _keeps_state(cls)]
+        assert len(stateless) == 37
+        assert [cls for cls in stateless if "__slots__" not in vars(cls)] == []
+
+    def test_slotted_record_values_copy_pickle_and_replace(self):
+        found = {}
+        for seed in range(10):
+            _values(make_record(seed), found)
+        slotted = {cls: value for cls, value in found.items() if "__slots__" in vars(cls)}
+        # Slot describes a field of the shape table; a record holds none.
+        expected = {
+            cls
+            for cls in _package_dataclasses()
+            if cls.__module__ == model.__name__ and "__slots__" in vars(cls)
+        }
+        assert slotted.keys() == expected - {model.Slot}
+        for value in slotted.values():
+            copies = [copy.deepcopy(value), replace(value)]
+            copies += [
+                pickle.loads(pickle.dumps(value, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for other in copies:
+                assert other == value and hash(other) == hash(value)

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -13,7 +14,7 @@ from knows_sidecar.linter import (
     render_lines,
     render_text,
 )
-from knows_sidecar.serialization import emit_record, load_record, record_to_tree
+from knows_sidecar.serialization import load_record, record_to_tree
 
 
 def load_fixture(name: str):
@@ -146,7 +147,7 @@ def test_findings_sorted_and_rendered():
 
 def test_dangling_relation_endpoint_is_k002():
     record = make_record(3)
-    broken = record.__class__(**{**record.__dict__, "statements": record.statements[:-1]})
+    broken = replace(record, statements=record.statements[:-1])
     report = lint(broken)
     assert findings_with(report, LintCode.CROSSREF)
 
@@ -167,7 +168,6 @@ def test_extra_subject_artifact_flagged():
         "actions: []\n"
     )
     record, _ = load_record(raw)
-    from dataclasses import replace
     extra = replace(record.artifacts[0], id=record.artifacts[0].id.__class__("art", "other"))
     record2 = replace(record, artifacts=record.artifacts + (extra,))
     report = lint(record2)
@@ -176,7 +176,6 @@ def test_extra_subject_artifact_flagged():
 
 def test_remote_refs_not_resolved_locally():
     record = make_record(5)
-    from dataclasses import replace
     from knows_sidecar.model import EntityId, Ref, Relation
 
     remote = Relation(
@@ -191,7 +190,6 @@ def test_remote_refs_not_resolved_locally():
 
 def test_anchor_must_point_at_local_representation():
     record = make_record(7)
-    from dataclasses import replace
     from knows_sidecar.model import EntityId
 
     stmt = record.statements[0]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import corruption, matched
 from .consumer import DEFAULT_TAU, Query, consume, page_file_provider, parse_page_markers
-from .errors import InvalidInputError, KnowsError, MalformedError
+from .errors import EmissionError, InvalidInputError, KnowsError, MalformedError
 from .graph import Registry, build_graph, export_edge_list, resolve, trace, version_chain
 from .linter import LintReport, lint, render_lines, render_text
 from .model import Author, Identifiers, Locator, Profile, parse_profile
@@ -99,7 +99,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     try:
         record = scaffold_record(spec)
-    except InvalidInputError as exc:
+        # A non-UTF-8 argv byte reaches Python as a lone surrogate, which no
+        # sidecar can hold.
+        data = emit_record(record)
+    except (InvalidInputError, EmissionError) as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = args.out
@@ -109,7 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print("gen: no output path; pass --out or a --source path", file=sys.stderr)
         return EXIT_USAGE
     try:
-        Path(out).write_bytes(emit_record(record))
+        Path(out).write_bytes(data)
     except OSError as exc:
         print(f"gen: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,8 +12,6 @@ plans compiled once per dataclass from the field table in
 
 from __future__ import annotations
 
-import datetime
-import re
 from dataclasses import dataclass, is_dataclass
 from functools import cache
 from typing import Any, Callable, Optional, Sequence
@@ -112,7 +110,7 @@ _SEQ = "tag:yaml.org,2002:seq"
 _SET = "tag:yaml.org,2002:set"
 # The tags a plain scalar may resolve to, by its first character, in the order
 # ``Resolver.resolve`` tries them; a scalar no pattern matches is a string.
-# Both loaders and both dumpers resolve with these (and ``Resolver`` has no
+# Both loaders and the dumper resolve with these (and ``Resolver`` has no
 # wildcard patterns, which ``resolve`` would try for every first character).
 _IMPLICIT = {
     first: tuple((tag, regexp.match) for tag, regexp in resolvers)
@@ -403,19 +401,12 @@ def record_to_tree(record: KnowsRecord) -> dict[str, Any]:
     return _emit_root(record)
 
 
-# Each tree is represented by one walk, :func:`_events`, which also picks the
-# emitter: libyaml's writes the pure emitter's bytes only for trees in a
-# narrower domain.  Outside it libyaml escapes code points above U+FFFF,
-# raises on lone surrogates, escapes U+0085 differently, folds long
-# double-quoted lines at other columns, and picks the ``? key`` form for other
-# keys (it measures keys in bytes, the pure emitter in characters).  Deep
-# nesting, aliases and values of other kinds stay on the pure emitter too.
-_C_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_C_UNSAFE_CHAR = re.compile("[\x85\ud800-\udfff\U00010000-\U0010ffff]").search
-_C_MAX_STR = 10_000  # even escaped (6 columns a character), far inside the width of 100000
-_C_MAX_KEY = 64
-_C_MAX_DEPTH = 64
-_C_DATES = frozenset({datetime.date, datetime.datetime})
+# Each tree is represented by one walk, :func:`_events`, and written by one
+# emitter, chosen once as ``_LOADER`` is: libyaml's when PyYAML was built with
+# it, else the pure one.  libyaml's writes U+0085 as "\N" and every other
+# string so that ``_LOADER`` reads it back; it raises ``UnicodeEncodeError``
+# on a lone surrogate, which UTF-8 cannot encode.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _COLLECTIONS = frozenset({dict, list, tuple, set})
 # Scalars the representer never gives an anchor, by exact type.
 _UNALIASED = frozenset({bool, int, float, type(None)})
@@ -436,12 +427,10 @@ _QUOTED_STR = (False, True)
 class _Walk(dict):
     """The memo of one :func:`_events` walk: the first event of each aliasable value, by id.
 
-    ``c_domain`` tells that libyaml's emitter writes the pure emitter's bytes
-    for the tree; ``anchors`` counts the anchors given so far, so it is
-    non-zero exactly when a value was met twice.
+    ``anchors`` counts the anchors given so far, so it is non-zero exactly
+    when a value was met twice.
     """
 
-    c_domain = True
     anchors = 0
 
 
@@ -455,35 +444,36 @@ def _scalar(value: Any) -> ScalarEvent:
     return ScalarEvent(None, tag, (_plain_tag(text) == tag, tag == _STR), text, style=node.style)
 
 
-def _events(value: Any, depth: int, walk: _Walk, out: list) -> None:
+def _set_order(item: Any) -> tuple:
+    """Where a set's item goes among the others: its scalar's (tag, value), or each of a tuple's."""
+    if type(item) is tuple:
+        return _SEQ, tuple(map(_set_order, item))
+    event = _scalar(item)
+    return event.tag, event.value
+
+
+def _events(value: Any, walk: _Walk, out: list) -> None:
     """Append the events ``SafeDumper`` serializes ``value`` to, unsorted and in block style.
 
     Each value ``ignore_aliases`` does not exempt is memoized in ``walk``
     by its first event, before its children.  A value met again, or inside
     itself, is an alias of that event, which gets the serializer's next
     anchor (``id001``, ...) when it has none.  A set is a ``!!set`` mapping
-    with null values and a tuple a sequence.  A string's event keeps its tag,
-    which the pure emitter counts against the 128 characters of a simple key.
-    Raises :class:`EmissionError` for a value of a type with no representer.
+    with null values, its items in :func:`_set_order` rather than hash order,
+    and a tuple a sequence.  Raises :class:`EmissionError` for a value of a
+    type with no representer.
     """
     kind = type(value)
     if kind is str:
-        if len(value) > _C_MAX_STR or (not value.isascii() and _C_UNSAFE_CHAR(value)):
-            walk.c_domain = False
         out.append(ScalarEvent(None, _STR, _PLAIN_STR if _plain_tag(value) == _STR else _QUOTED_STR, value))
         return
     if kind in _UNALIASED:
         out.append(_scalar(value))
         return
-    aliased = kind is dict or kind is list
-    if not aliased:
-        if kind not in _C_DATES:
-            walk.c_domain = False
-        aliased = not _ignore_aliases(None, value)
+    aliased = kind is dict or kind is list or not _ignore_aliases(None, value)
     if aliased:
         first = walk.get(id(value))
         if first is not None:
-            walk.c_domain = False
             if first.anchor is None:
                 walk.anchors += 1
                 first.anchor = f"id{walk.anchors:03d}"
@@ -500,30 +490,19 @@ def _events(value: Any, depth: int, walk: _Walk, out: list) -> None:
     if aliased:
         walk[id(value)] = event
     out.append(event)
-    if kind not in _COLLECTIONS:
-        return
-    if depth >= _C_MAX_DEPTH:
-        walk.c_domain = False
-    depth += 1
     if kind is dict:
         for k, v in value.items():
-            if type(k) is str:
-                if not (0 < len(k) <= _C_MAX_KEY and k.isascii() and k.isprintable()):
-                    walk.c_domain = False
-                out.append(ScalarEvent(None, _STR, _PLAIN_STR if _plain_tag(k) == _STR else _QUOTED_STR, k))
-            else:
-                walk.c_domain = False
-                _events(k, depth, walk, out)
-            _events(v, depth, walk, out)
+            _events(k, walk, out)
+            _events(v, walk, out)
         out.append(_MAP_END)
     elif kind is set:
-        for k in value:
-            _events(k, depth, walk, out)
+        for k in sorted(value, key=_set_order):
+            _events(k, walk, out)
             out.append(_scalar(None))
         out.append(_MAP_END)
-    else:
+    elif kind in _COLLECTIONS:
         for v in value:
-            _events(v, depth, walk, out)
+            _events(v, walk, out)
         out.append(_SEQ_END)
 
 
@@ -533,12 +512,14 @@ def _dump(tree: dict[Any, Any], walk: _Walk) -> bytes:
         return b""
     events = [*_OPEN]
     try:
-        _events(tree, 0, walk, events)
+        _events(tree, walk, events)
     except RecursionError as exc:
         raise EmissionError("cannot emit record: a value is nested too deeply") from exc
     events += _CLOSE
-    dumper = _C_DUMPER if walk.c_domain else yaml.SafeDumper
-    return yaml.emit(events, Dumper=dumper, allow_unicode=True, width=100000).encode("utf-8")
+    try:
+        return yaml.emit(events, Dumper=_DUMPER, allow_unicode=True, width=100000).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EmissionError(f"cannot emit record: UTF-8 cannot encode a string ({exc.reason})") from exc
 
 
 _ROOT_STEPS = _emit_steps(KnowsRecord)
@@ -577,8 +558,8 @@ def emit_records(records: Sequence[KnowsRecord]) -> list[bytes]:
     across the document.  A record with a value met twice, within one run or
     across two (their walks memoize the same id), is dumped whole.
 
-    Raises :class:`EmissionError` for a value nested too deeply, or of a type
-    with no YAML form.
+    Raises :class:`EmissionError` for a value nested too deeply, of a type
+    with no YAML form, or a string UTF-8 cannot encode (a lone surrogate).
     """
     if not records:
         return []
@@ -611,8 +592,7 @@ def emit_records(records: Sequence[KnowsRecord]) -> list[bytes]:
 def emit_record(record: KnowsRecord) -> bytes:
     """Serialize a record canonically; two emissions are byte-identical.
 
-    The one-record case of :func:`emit_records`: one run holds every field.
-    Raises :class:`EmissionError` for a value nested too deeply, or of a type
-    with no YAML form.
+    The one-record case of :func:`emit_records`: one run holds every field,
+    and it raises as that does.
     """
     return emit_records((record,))[0]

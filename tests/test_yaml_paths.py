@@ -197,21 +197,11 @@ SHARED = ["x"]
 @given(records())
 @example(with_text("first\x85second"))  # NEL written raw reloads as a space
 @example(with_text("x\udcff"))  # UTF-8 cannot encode a lone surrogate
-# Trees on which libyaml's emitter writes other bytes than the pure one.
-@example(with_probe("x \U0001d465"))
-@example(with_probe("\U0001f600"))
-@example(with_probe({"": 1}))
-@example(with_probe({"a\rb": 1}))
-@example(with_probe({"k" * 127: 1}))
-@example(with_probe({"k" * 128: 1}))
-@example(with_probe({"\u00e9" * 65: 1}))
-@example(with_probe("wo\x01rd " * 30000))
-@example(with_probe({1: "a"}))
-@example(with_probe(_nested(80)))
-@example(with_probe(b"\x00\x01"))
-@example(with_probe({"delta", "alpha", "gamma", "beta"}))
-@example(with_probe({"a": SHARED, "b": SHARED}))
 def test_emission_round_trips(record):
+    assert_round_trips(record)
+
+
+def assert_round_trips(record):
     try:
         data = emit_record(record)
     except EmissionError as exc:
@@ -219,6 +209,44 @@ def test_emission_round_trips(record):
         return
     reloaded, _ = load_record(data)
     assert emit_record(reloaded) == data
+
+
+# Each tree here makes libyaml's emitter write other bytes than the pure one,
+# or (an alias) was once kept from it.  These trees took the pure emitter
+# while the two emitters were chosen per tree; each now takes ``_DUMPER``
+# like any other, and is held to its bytes and to reading back.
+OUT_OF_DOMAIN = {
+    "non_bmp": "x \U0001d465",
+    "emoji": "\U0001f600",
+    "lone_surrogate": "T \udcff",
+    "nel": "first\x85second",
+    "empty_key": {"": 1},
+    "cr_key": {"a\rb": 1},
+    "key_127": {"k" * 127: 1},
+    "key_128": {"k" * 128: 1},
+    "long_non_ascii_key": {"\u00e9" * 65: 1},
+    "long_double_quoted": "wo\x01rd " * 30000,
+    "int_key": {1: "a"},
+    "deep": _nested(80),
+    "bytes": b"\x00\x01",
+    "set": {"a", "b"},
+    "alias": {"a": SHARED, "b": SHARED},
+}
+
+
+@pytest.mark.parametrize("value", OUT_OF_DOMAIN.values(), ids=list(OUT_OF_DOMAIN))
+def test_out_of_domain_trees_take_the_pure_path(value):
+    record = with_probe(value)
+    try:
+        expected = reference_dump(record_to_tree(record))
+    except UnicodeEncodeError:  # libyaml's emitter, on a lone surrogate
+        with pytest.raises(EmissionError, match="UTF-8"):
+            emit_record(record)
+        return
+    # yaml.dump writes a set's items in hash order; emit_record sorts them.
+    if not isinstance(value, set):
+        assert emit_record(record) == expected
+    assert_round_trips(record)
 
 
 # Trees SafeDumper's representer gives anchors, with values it writes as
@@ -287,11 +315,19 @@ MIDDLE = ["b", INNER]
 OUTER = ["c", MIDDLE]
 
 
+@needs_libyaml
 @settings(deadline=None)
-@given(st.one_of(IN_DOMAIN[2], ANYWHERE[2], aliased_trees()))
+@given(IN_DOMAIN[2])
 @example({"date": datetime.date(2024, 1, 1), "at": datetime.datetime(2024, 1, 1, 12, 30)})
 @example({"floats": [math.nan, math.inf, -math.inf, -0.0, 1e300], "ints": [2**70, -(2**64)]})
 @example({"flags": [True, False, None], "nested": {"a": [{"b": []}, {}]}})
+def test_node_path_matches_representer(tree):
+    expected = yaml.dump(tree, Dumper=yaml.CSafeDumper, **EMIT_OPTIONS).encode("utf-8")
+    assert walk_dump(tree) == (expected if tree else b"")
+
+
+@settings(deadline=None)
+@given(st.one_of(ANYWHERE[2], aliased_trees()))
 @example({"a": RECURSIVE})
 @example({"a": [Decimal("1.5")]})
 @example({"t": (DAY,), "s": {DAY}, DAY: 1})

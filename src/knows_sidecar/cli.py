@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passages", help="[PAGE n]-marked text file for fallback")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("graph", help="relation graph over one or more records", parents=[shared])
+    p = sub.add_parser("graph", help="relation graph over one or more records")
     p.add_argument("files", nargs="+")
     p.add_argument("--seed", help="entity reference to trace from")
     p.add_argument("--predicates", help="comma-separated predicate filter")
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", help="record_id whose version chain to print")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("project", help="emit a record under an ablation condition", parents=[shared])
+    p = sub.add_parser("project", help="emit a record under an ablation condition")
     p.add_argument("file")
     p.add_argument(
         "--condition",
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", action="store_true", help="report token counts on stderr")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("audit", help="corruption study or answer-object gates", parents=[shared])
+    p = sub.add_parser("audit", help="corruption study or answer-object gates")
     p.add_argument("--corpus", help="directory of *.knows.yaml records")
     p.add_argument("--study-seed", type=int, default=0)
     p.add_argument("--matched", help="JSON file of structured answer objects")
@@ -363,10 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _IoFailure as exc:
-        print(f"knows: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except KnowsError as exc:
+    except (_IoFailure, KnowsError) as exc:
         print(f"knows: {exc}", file=sys.stderr)
         return EXIT_IO
 

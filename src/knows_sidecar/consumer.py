@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from decimal import Decimal
 from typing import Optional, Protocol, Sequence, Union
 
 from .errors import MalformedError, ProviderFailureError
@@ -299,7 +300,7 @@ def _overridden_entities(
 ) -> tuple[str, ...]:
     """Sidecar entities whose numeric observations the passages do not echo."""
     passage_text = " ".join(p.text for p in passages)
-    passage_numbers = set(re.findall(r"-?\d+(?:\.\d+)?", passage_text))
+    passage_numbers = {Decimal(n) for n in re.findall(r"-?\d+(?:\.\d+)?", passage_text)}
     overridden: list[str] = []
     for result in results:
         entity = result.entity
@@ -308,10 +309,9 @@ def _overridden_entities(
         values = [obs.value for obs in entity.observations if obs.value is not None]
         if not values:
             continue
-        # A float has an integer spelling only when finite and integral.
+        # Compared as numbers: 2.5 is echoed by "2.50", True by "1", inf and nan by none.
         echoed = any(
-            str(v) in passage_numbers
-            or (not isinstance(v, float) or v.is_integer()) and str(int(v)) in passage_numbers
+            (Decimal(v) if isinstance(v, int) else Decimal(repr(v))) in passage_numbers
             for v in values
             if isinstance(v, (int, float))
         )

@@ -28,7 +28,7 @@ from .model import (
     as_ref,
     shown,
 )
-# ``bench/tracer.py`` wraps ``linter.document_tree``; only the schema calls it.
+# ``bench/tracer.py`` wraps this name; the schema calls ``serialization.document_tree`` instead.
 from .serialization import document_tree  # noqa: F401
 
 UrlProbe = Callable[[str], int]

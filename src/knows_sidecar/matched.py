@@ -14,7 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 from . import schema
 from .errors import EmptyInputError
@@ -99,7 +99,6 @@ class ItemVerdict:
     parse_ok: bool
     page_echo_ok: bool
     quote_verbatim_ok: bool
-    parsed: Optional[MatchedOutput] = None
     error: str = ""
 
 
@@ -122,7 +121,7 @@ def validate_matched_output(
         and quote_in_page(entry.quote, context_pages[entry.page])
         for entry in parsed.evidence
     )
-    return ItemVerdict(True, page_ok, quote_ok, parsed=parsed)
+    return ItemVerdict(True, page_ok, quote_ok)
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,8 @@ non-empty-string invariants.  Every output passes lint checks K001-K006.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Any, Optional, Protocol
+from dataclasses import dataclass
+from typing import Optional, Protocol
 
 from .errors import InvalidInputError
 from .model import (
@@ -196,7 +196,11 @@ def scaffold_record(
         statements=statements,
         evidence=evidence,
         relations=(),
-        **_stamps("author", Actor(name="TODO: actor", type="person"), now),
+        provenance=Provenance(
+            origin="author", actor=Actor(name="TODO: actor", type="person"), generated_at=now
+        ),
+        version=VersionTriple(spec=SpecVersion(0, 9, 0), record="1", source="TODO: source"),
+        freshness=Freshness(as_of=now, update_policy="versioned"),
     )
 
 
@@ -209,36 +213,6 @@ def _media_type_for(locator: Locator) -> str:
     if value.endswith((".md", ".markdown")):
         return "text/markdown"
     return "application/octet-stream"
-
-
-def fill_provenance(
-    record: KnowsRecord,
-    actor: Actor,
-    origin: str,
-    now: str,
-    *,
-    method: Optional[str] = None,
-    source: Optional[str] = None,
-) -> KnowsRecord:
-    """Set provenance, version, and freshness blocks; idempotent for fixed now."""
-    source = source or (record.version.source if record.version else "TODO: source")
-    return replace(record, **_stamps(origin, actor, now, method=method, source=source))
-
-
-def _stamps(
-    origin: str,
-    actor: Actor,
-    now: str,
-    *,
-    method: Optional[str] = None,
-    source: str = "TODO: source",
-) -> dict[str, Any]:
-    """The provenance, version (record 1) and freshness blocks stamped at ``now``."""
-    return dict(
-        provenance=Provenance(origin=origin, actor=actor, generated_at=now, method=method),
-        version=VersionTriple(spec=SpecVersion(0, 9, 0), record="1", source=source),
-        freshness=Freshness(as_of=now, update_policy="versioned"),
-    )
 
 
 def sidecar_filename(document_path: str) -> str:

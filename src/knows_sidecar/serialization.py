@@ -517,6 +517,10 @@ def _dump(tree: dict[Any, Any], walk: _Walk) -> bytes:
         raise EmissionError("cannot emit record: a value is nested too deeply") from exc
     events += _CLOSE
     try:
+        if issubclass(_DUMPER, yaml.emitter.Emitter):  # the pure emitter escapes lone surrogates
+            for event in events:
+                if type(event) is ScalarEvent:
+                    event.value.encode("utf-8")
         return yaml.emit(events, Dumper=_DUMPER, allow_unicode=True, width=100000).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise EmissionError(f"cannot emit record: UTF-8 cannot encode a string ({exc.reason})") from exc

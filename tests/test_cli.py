@@ -1,4 +1,8 @@
+import argparse
+import inspect
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -412,3 +416,47 @@ class TestAudit:
 
     def test_empty_corpus_is_io_error(self, tmp_path):
         assert run("audit", "--corpus", str(tmp_path)) == 3
+
+
+def readme_commands():
+    """Each ``knows ...`` line of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    commands = [words for words in lines if words and words[0] == "knows"]
+    assert len(commands) >= 10, "README CLI block not found"
+    return commands
+
+
+class TestParser:
+    SUBPARSERS = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    def test_each_option_is_read_by_its_command(self, command):
+        subparser = self.SUBPARSERS[command]
+        source = inspect.getsource(subparser.get_default("func"))
+        dests = [a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+        assert [dest for dest in dests if f"args.{dest}" not in source] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "a.knows.yaml"],
+            ["project", "a.knows.yaml"],
+            ["audit", "--corpus", "records"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_is_a_usage_error_where_unread(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--format", "lines"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("words", readme_commands(), ids=" ".join)
+    def test_readme_cli_line_parses(self, words):
+        cli.build_parser().parse_args(words[1:])

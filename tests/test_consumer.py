@@ -308,10 +308,9 @@ class TestConsume:
                 passage_source=broken,
             )
 
-    @pytest.mark.parametrize(
-        "value, overridden", [(".inf", True), (".nan", True), ("65000.0", False), ("65000", False)]
-    )
-    def test_override_spells_only_finite_integral_values_as_integers(self, value, overridden):
+    @staticmethod
+    def density_trend_overridden(value, page_number):
+        """Whether the fallback marks Moore's evidence, observed as ``value``, overridden by a page."""
         text = (FIXTURES / "moore.knows.yaml").read_text().replace("value: 65000", f"value: {value}")
         record, _ = load_record(text)
         answer = consume(
@@ -320,10 +319,22 @@ class TestConsume:
             mode="fallback",
             tau=2.0,
             registry=Registry([record]),
-            passage_source=page_file_provider("[PAGE 2]\nsome 65000 elements per device\n"),
+            passage_source=page_file_provider(f"[PAGE 2]\nsome {page_number} elements per device\n"),
         )
         assert answer.status == "answer"
-        assert ("moore-1965#ev:density-trend" in answer.trace.overridden) is overridden
+        return "moore-1965#ev:density-trend" in answer.trace.overridden
+
+    @pytest.mark.parametrize(
+        "value, overridden", [(".inf", True), (".nan", True), ("65000.0", False), ("65000", False)]
+    )
+    def test_override_spells_only_finite_integral_values_as_integers(self, value, overridden):
+        assert self.density_trend_overridden(value, "65000") is overridden
+
+    @pytest.mark.parametrize(
+        "value, page_number", [("2.5", "2.50"), ("1.0e-05", "0.00001"), ("3", "3.0")]
+    )
+    def test_override_compares_numbers_not_spellings(self, value, page_number):
+        assert not self.density_trend_overridden(value, page_number)
 
     def test_stage2_trace_is_superset_of_stage1(self):
         stage1 = consume(

@@ -2,13 +2,12 @@ import pytest
 
 from knows_sidecar.errors import InvalidInputError
 from knows_sidecar.linter import lint
-from knows_sidecar.model import Actor, Author, Identifiers, Locator, Profile
+from knows_sidecar.model import Author, Identifiers, Locator, Profile
 from knows_sidecar.scaffold import (
     CandidateEvidence,
     CandidateStatement,
     ExtractedContent,
     ScaffoldInput,
-    fill_provenance,
     scaffold_record,
     sidecar_filename,
     slugify,
@@ -88,24 +87,6 @@ class TestScaffold:
         loaded, log = load_record(emit_record(record))
         assert lint(loaded).passed
         assert not log.entries
-
-
-class TestFillProvenance:
-    def test_sets_blocks(self):
-        record = scaffold_record(basic_input())
-        actor = Actor(name="Pat Writer", type="person")
-        filled = fill_provenance(record, actor, "author", "2026-05-01T00:00:00Z", source="v2")
-        assert filled.provenance.actor == actor
-        assert filled.freshness.as_of == "2026-05-01T00:00:00Z"
-        assert filled.version.source == "v2"
-        assert lint(filled).passed
-
-    def test_idempotent(self):
-        record = scaffold_record(basic_input())
-        actor = Actor(name="Pat Writer", type="person")
-        once = fill_provenance(record, actor, "author", "2026-05-01T00:00:00Z")
-        twice = fill_provenance(once, actor, "author", "2026-05-01T00:00:00Z")
-        assert once == twice
 
 
 class TestNaming:

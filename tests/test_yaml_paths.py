@@ -388,6 +388,17 @@ def test_gen_refuses_a_title_utf8_cannot_encode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pure_emitter_refuses_a_lone_surrogate(monkeypatch, tmp_path, capsys):
+    # The pure emitter would write "x\uDCFF", which libyaml's loader refuses.
+    monkeypatch.setattr(serialization, "_DUMPER", yaml.SafeDumper)
+    with pytest.raises(EmissionError, match="UTF-8"):
+        emit_record(dataclasses.replace(make_record(0), title="x\udcff"))
+    out = tmp_path / "o.knows.yaml"
+    assert cli.main(["gen", "--title", "T \udcff", "--author", "A", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("gen: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Loading: both loaders build the same trees
 

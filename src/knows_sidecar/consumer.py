@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Optional, Protocol, Sequence, Union
 
 from .errors import MalformedError, ProviderFailureError
@@ -295,12 +295,26 @@ def _not_found(reason: str, passages: tuple[Passage, ...] = ()) -> ComposedAnswe
     )
 
 
+# A number as a page writes it: digits, or groups of three after commas as in
+# "65,000" ("3,4" is two numbers), then an optional fraction and exponent.
+_PAGE_NUMBER = re.compile(r"-?(?:\d{1,3}(?:,\d{3}(?!\d))+|\d+)(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _page_numbers(text: str) -> set[Decimal]:
+    numbers = set()
+    for written in _PAGE_NUMBER.findall(text):
+        try:
+            numbers.add(Decimal(written.replace(",", "")))
+        except InvalidOperation:  # an exponent past Decimal's range, which no observation has
+            pass
+    return numbers
+
+
 def _overridden_entities(
     results: Sequence[ScoredEntity], passages: Sequence[Passage], record_id: str
 ) -> tuple[str, ...]:
     """Sidecar entities whose numeric observations the passages do not echo."""
-    passage_text = " ".join(p.text for p in passages)
-    passage_numbers = {Decimal(n) for n in re.findall(r"-?\d+(?:\.\d+)?", passage_text)}
+    passage_numbers = _page_numbers(" ".join(p.text for p in passages))
     overridden: list[str] = []
     for result in results:
         entity = result.entity

@@ -28,7 +28,7 @@ from .model import (
     as_ref,
     shown,
 )
-# ``bench/tracer.py`` wraps this name; the schema calls ``serialization.document_tree`` instead.
+# ``bench/tracer.py`` wraps this name, which no package code calls: K001 walks a record's fields.
 from .serialization import document_tree  # noqa: F401
 
 UrlProbe = Callable[[str], int]

@@ -37,9 +37,12 @@ it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
 (``_walk``).  A record, and each dataclass value a root field of
 ``KnowsRecord`` holds, alone or as a list item, keeps its K001 findings
 (``_k001``), relative to itself: a loaded record's are those of the tree it
-was parsed from, which it does not keep.  :mod:`knows_sidecar.schema` sets
-that property on the classes when it compiles ``RECORD_SCHEMA``, since this
-module cannot import the schema.  So a dataclass of the package has an
+was parsed from, which it does not keep; any other value's are those of
+walking its fields, which finds what checking its emitted tree would.
+:mod:`knows_sidecar.schema` sets that property on the classes when it
+compiles ``RECORD_SCHEMA``, since this module cannot import the schema.  The
+leaf values written as strings keep nothing and are atomic: copying one
+returns it (see ``_Atomic``).  So a dataclass of the package has an
 instance ``__dict__`` exactly when it keeps state: ``KnowsRecord``, the
 classes root fields hold, and ``graph.RelationGraph`` (``_index``).  Every
 other one is slotted (``slots=True``): a value that keeps nothing carries no
@@ -151,8 +154,24 @@ def shown(value: Any, show: Callable[[Any], str] = repr, outer: Optional[set] = 
 # Identifiers and references
 
 
+class _Atomic:
+    """A value that copying returns as it is, as ``decimal.Decimal`` does.
+
+    For the leaf values written as strings: frozen, and built by their parsers
+    from str and int fields only, so a copy could share every part anyway.
+    """
+
+    __slots__ = ()
+
+    def __copy__(self) -> Any:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Any:
+        return self
+
+
 @dataclass(frozen=True, slots=True)
-class EntityId:
+class EntityId(_Atomic):
     """A prefixed local identifier, rendered ``<prefix>:<local>``."""
 
     prefix: str
@@ -167,7 +186,7 @@ class EntityId:
 
 
 @dataclass(frozen=True, slots=True)
-class Ref:
+class Ref(_Atomic):
     """A local entity reference, or a remote one qualified by a record_id."""
 
     entity: EntityId
@@ -221,7 +240,7 @@ def parse_ref(text: str) -> Ref:
 
 
 @dataclass(frozen=True, slots=True)
-class SpecVersion:
+class SpecVersion(_Atomic):
     major: int
     minor: int
     patch: int
@@ -246,7 +265,7 @@ def reader_accepts(record_version: SpecVersion, reader_version: SpecVersion) -> 
 
 
 @dataclass(frozen=True, slots=True)
-class Profile:
+class Profile(_Atomic):
     name: str
     major: int
 

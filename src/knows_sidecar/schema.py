@@ -4,9 +4,11 @@
 expressed as a plain dict so tests can cross-check it with an off-the-shelf
 validator; it and :func:`object_schema` are built from dataclass field tables.
 :func:`validator` compiles a schema once, into one closure per schema node.
-:func:`validate_tree` is the compiled ``RECORD_SCHEMA``.  Every record keeps
-its findings as ``_k001``, which the linter's check 1 reports, so its verdict
-is that of validating the record's tree by the schema.
+:func:`validate_tree` is the compiled ``RECORD_SCHEMA``, which checks trees.
+The same compilation walks the fields of a record built in memory, and of
+each value it holds, without emitting a tree.  Every record keeps its
+findings as ``_k001``, which the linter's check 1 reports, so its verdict is
+that of validating the record's tree by the schema.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import is_dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Optional
 
 from . import model, serialization
 from .model import is_timestamp
@@ -103,18 +105,35 @@ _KEPT_NODES = _kept_nodes()
 # ``check(value, path, problems)``, appending (path, message) pairs.  ``path``
 # is a (key, parent) chain, None at the root, rendered only for a problem.  A
 # value of the wrong type or outside the enumeration gets no further checks.
+#
+# A node that a model dataclass fills (for an array, its items) also compiles
+# ``walk_value``: it checks a value of that class (for an array, a tuple of
+# them) as ``check`` checks the value's emitted tree, without emitting it.  It
+# reads each field (``model.slots``), converts it with the converter of
+# ``serialization._emit_steps`` (a record's as ``document_tree`` does) and
+# checks what the tree would hold.  A field that holds a value of exactly its
+# declared class, or a tuple of them, is walked in turn instead; anything else
+# there (a list, an item of another class, a subclass) is converted and its
+# tree checked.  Fields are converted and checked in emission order.  Of the
+# checks, only reading a kept value's findings can raise, and a record's
+# fields, which hold kept values, are checked after every one is converted.
+# So every finding, its order and any exception are those of checking the
+# emitted tree.
+#
 # A ``RECORD_SCHEMA`` node that a root field's dataclass values fill reads a
-# value of exactly that class (see ``serialization.document_tree``) as the
-# findings it keeps, ``_k001``: the node's check of its emitted tree, with
-# paths relative to the value, computed once per value.  A record keeps its
-# own: ``load_record`` presets them from the parsed tree, and one built in
-# memory computes them once from its ``document_tree``.
+# value of exactly that class, in a tree or a record, as the findings it
+# keeps, ``_k001``: those of walking the value, with paths relative to it,
+# computed once per value.  A record keeps its own: ``load_record`` presets
+# them from the parsed tree, and one built in memory computes them once by
+# walking its fields.
 
 _Check = Callable[[Any, Any, list], None]
 
 _CLASSES = dict(string=str, integer=int, number=(int, float), boolean=bool, array=list, object=dict)
 
 # Keyword -> its value -> (test on a value of the node's type, message); NaN fails both bounds.
+# ``minItems`` and ``minProperties`` test a length only, so a walk hands them a
+# tuple of items, or a dict of the keys a tree would hold.
 _TESTS = {
     "minLength": lambda n: (lambda v: len(v) >= n, "string must be non-empty"),
     "pattern": lambda p: (re.compile(p).search, f"string does not match {p}"),
@@ -126,22 +145,27 @@ _TESTS = {
 }
 
 
-def _compile(schema: Mapping[str, Any]) -> _Check:
+def _compile(schema: Mapping[str, Any], cls: Any = None) -> tuple[_Check, Optional[_Check]]:
+    """The node's check and, when a dataclass ``cls`` fills the node, its ``walk_value``."""
     expected = schema.get("type")
     classes = _CLASSES.get(expected, object)
     numeric = expected in ("integer", "number")  # a bool is never a number
     members = frozenset(schema["enum"]) if "enum" in schema else None
     tests = [make(schema[key]) for key, make in _TESTS.items() if key in schema]
-    walk = _object_walk(schema) if expected == "object" else None
+    walk = walk_value = None
+    if expected == "object":
+        walk, walk_value = _object_walks(schema, cls, tests)
     if "items" in schema:
-        walk = _items_walk(_compile(schema["items"]))
-    typed = _KEPT_NODES.get(id(schema))
+        check_item, walk_item = _compile(schema["items"], cls)
+        walk = _items_walk(check_item)
+        if walk_item is not None:
+            walk_value = _tuple_walk(walk_item, tests)
+    kept = _KEPT_NODES.get(id(schema))
 
     def check(value: Any, path: Any, problems: list) -> None:
         if not isinstance(value, classes) or (numeric and isinstance(value, bool)):
-            if type(value) is typed:
-                for key, message in value._k001:
-                    problems.append(((key, path) if key else path, message))
+            if type(value) is kept:
+                _read_kept(value, path, problems)
                 return
             problems.append((path, f"expected {expected}"))
             return
@@ -159,10 +183,11 @@ def _compile(schema: Mapping[str, Any]) -> _Check:
         if walk is not None:
             walk(value, path, problems)
 
-    if typed is not None:
-        emit = serialization._emitter(typed)
-        _keep_findings(typed, lambda value: tuple(_findings(check, emit(value))))
-    return check
+    if kept is not None:
+        walk_fields = walk_value
+        _keep_findings(kept, lambda value: tuple(_findings(walk_fields, value)))
+        walk_value = _read_kept
+    return check, walk_value
 
 
 def _keep_findings(cls: type, findings: Callable[[Any], tuple[tuple[str, str], ...]]) -> None:
@@ -172,17 +197,62 @@ def _keep_findings(cls: type, findings: Callable[[Any], tuple[tuple[str, str], .
     cls._k001 = kept
 
 
-def _object_walk(schema: Mapping[str, Any]) -> _Check:
-    required = dict.fromkeys(schema.get("required", ()))
-    properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
-    closed = schema.get("additionalProperties") is False
-    one_of = [(b["required"], b.get("not", {}).get("required", ())) for b in schema.get("oneOf", ())]
+def _read_kept(value: Any, path: Any, problems: list) -> None:
+    """Append the findings ``value`` keeps, each under ``path``."""
+    for key, message in value._k001:
+        problems.append(((key, path) if key else path, message))
 
-    def walk(value: dict, path: Any, problems: list) -> None:
+
+def _adopter(cls: type, many: bool, walk_value: _Check) -> Callable[[Any], Optional[_Check]]:
+    """``walk_value`` for a field's value of exactly ``cls`` (if ``many``, a tuple of them), else None."""
+    if not many:
+        return lambda value: walk_value if type(value) is cls else None
+
+    def adopt(value: Any) -> Optional[_Check]:
+        if type(value) is not tuple:
+            return None
+        for item in value:
+            if type(item) is not cls:
+                return None
+        return walk_value
+
+    return adopt
+
+
+def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Check, Optional[_Check]]:
+    """The walk of an object node's mapping and, when ``cls`` is a dataclass, of its fields.
+
+    The second walks any value with the fields of ``cls``.  It checks each
+    field as soon as it is converted, but a record's: those fields are kept
+    values, whose findings are read once every field is converted, as
+    ``validate_tree(document_tree(record))`` reads them.
+    """
+    required = dict.fromkeys(schema.get("required", ()))
+    slots = model.slots(cls) if is_dataclass(cls) else ()
+    kinds = {slot.key: slot.kind for slot in slots}
+    nodes = {key: _compile(sub, kinds.get(key)) for key, sub in schema.get("properties", {}).items()}
+    properties = {key: check for key, (check, _) in nodes.items()}
+    closed = schema.get("additionalProperties") is False
+    one_of = [
+        (frozenset(b["required"]), frozenset(b.get("not", {}).get("required", ())))
+        for b in schema.get("oneOf", ())
+    ]
+
+    def shape(value: Mapping[str, Any], path: Any, problems: list) -> None:
         if not value.keys() >= required.keys():
             for key in required:
                 if key not in value:
                     problems.append(((key, path), "required field missing"))
+
+    def alternatives(value: Mapping[str, Any], path: Any, problems: list) -> None:
+        hits = 0
+        for needed, excluded in one_of:
+            hits += value.keys() >= needed and value.keys().isdisjoint(excluded)
+        if hits != 1:
+            problems.append((path, "exactly one alternative must hold"))
+
+    def walk(value: dict, path: Any, problems: list) -> None:
+        shape(value, path, problems)
         if closed and not value.keys() <= properties.keys():
             for key in value:
                 if key not in properties:
@@ -191,11 +261,72 @@ def _object_walk(schema: Mapping[str, Any]) -> _Check:
             if key in value:
                 check(value[key], (key, path), problems)
         if one_of:
-            hits = 0
-            for needed, excluded in one_of:
-                hits += all(k in value for k in needed) and not any(k in value for k in excluded)
-            if hits != 1:
-                problems.append((path, "exactly one alternative must hold"))
+            alternatives(value, path, problems)
+
+    if not slots:
+        return walk, None
+    record = cls is model.KnowsRecord
+    emit_steps = serialization._emit_steps(cls, typed=record)
+    # Per field: (attribute, key, adopter or None, converter or None, check,
+    # whether an adopted empty tuple drops the key, as an optional empty list does).
+    steps = []
+    for (attr, key, convert), slot in zip(emit_steps, slots):
+        check, walk_value = nodes[key]
+        adopt = None if walk_value is None else _adopter(slot.kind, slot.many, walk_value)
+        steps.append((attr, key, adopt, convert, check, slot.many and not slot.required))
+    keys = [key for _, key, *_ in steps]
+
+    def walk_fields(value: Any, path: Any, problems: list) -> None:
+        start = len(problems)
+        absent = []
+        deferred: Optional[list] = [] if record else None
+        for attr, key, adopt, convert, check, drop_empty in steps:
+            field = getattr(value, attr)
+            if field is not None:
+                adopted = adopt and adopt(field)
+                if adopted is not None:
+                    check = adopted
+                    if drop_empty and not field:
+                        field = None
+                elif convert is not None:
+                    field = convert(field)
+            if field is None:
+                absent.append(key)
+            elif deferred is None:
+                check(field, (key, path), problems)
+            else:
+                deferred.append((check, field, key))
+        for check, field, key in deferred or ():
+            check(field, (key, path), problems)
+        if tests or one_of or not required.keys().isdisjoint(absent):
+            # The keys the emitted tree holds: its size and its required keys
+            # are checked before its fields, its alternatives after.
+            present = dict.fromkeys(keys)
+            for key in absent:
+                del present[key]
+            head: list = []
+            for test, message in tests:
+                if not test(present):
+                    head.append((path, message))
+            shape(present, path, head)
+            problems[start:start] = head
+            if one_of:
+                alternatives(present, path, problems)
+
+    return walk, walk_fields
+
+
+def _tuple_walk(walk_item: _Check, tests: list) -> _Check:
+    """Check a tuple as its emitted list: each item by ``walk_item``."""
+    kept = walk_item is _read_kept
+
+    def walk(items: tuple, path: Any, problems: list) -> None:
+        for test, message in tests:
+            if not test(items):
+                problems.append((path, message))
+        for i, item in enumerate(items):
+            if not kept or item._k001:  # most kept items have no findings
+                walk_item(item, (str(i), path), problems)
 
     return walk
 
@@ -225,12 +356,16 @@ def _findings(check: _Check, value: Any) -> list[tuple[str, str]]:
 
 def validator(schema: Mapping[str, Any]) -> Callable[[Any], list[tuple[str, str]]]:
     """Compile ``schema`` once: the result lists a value's violations as (path, message)."""
-    check = _compile(schema)
+    check, _ = _compile(schema)
     return lambda value: _findings(check, value)
 
 
-# Structural violations of a raw document tree as (path, message) pairs.
-validate_tree = validator(RECORD_SCHEMA)
-_keep_findings(
-    model.KnowsRecord, lambda record: tuple(validate_tree(serialization.document_tree(record)))
-)
+_check_record, _walk_record = _compile(RECORD_SCHEMA, model.KnowsRecord)
+
+
+def validate_tree(tree: Any) -> list[tuple[str, str]]:
+    """Structural violations of a raw document tree as (path, message) pairs."""
+    return _findings(_check_record, tree)
+
+
+_keep_findings(model.KnowsRecord, lambda record: tuple(_findings(_walk_record, record)))

@@ -389,10 +389,10 @@ def _emitter(cls: type, typed: bool = False) -> Callable[..., dict[str, Any]]:
 
 _emit_root = _emitter(KnowsRecord)
 
-# The tree K001 validates for a record built in memory: the canonical root
-# with each value (or list item) of exactly the class its root field declares
-# left as it is, for K001 to read the findings it keeps (see
-# :mod:`knows_sidecar.schema`); everything else emits as in the tree.
+# The canonical root with each value (or list item) of exactly the class its
+# root field declares left as it is: checking it reads the findings those
+# values keep (see :mod:`knows_sidecar.schema`).  K001's walk of a record's
+# fields converts them as this does; no package code calls it.
 document_tree = _emitter(KnowsRecord, typed=True)
 
 

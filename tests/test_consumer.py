@@ -336,6 +336,23 @@ class TestConsume:
     def test_override_compares_numbers_not_spellings(self, value, page_number):
         assert not self.density_trend_overridden(value, page_number)
 
+    @pytest.mark.parametrize(
+        "value, page_number, overridden",
+        [
+            ("1.0e-05", "1e-05", False),
+            ("2500.0", "2.5E3", False),
+            ("65000", "65,000", False),
+            ("1234.5", "1,234.5", False),
+            ("65", "65,000", True),
+            ("3", "3,4", False),
+            ("4", "3,4", False),
+            ("34", "3,4", True),
+            ("65000", "65000 and 1e99999999999999999999", False),
+        ],
+    )
+    def test_override_reads_each_page_number_whole(self, value, page_number, overridden):
+        assert self.density_trend_overridden(value, page_number) is overridden
+
     def test_stage2_trace_is_superset_of_stage1(self):
         stage1 = consume(
             Query(BLOOM_QUESTION), "bloom-1956", mode="only", registry=self.registry

@@ -92,6 +92,33 @@ class TestRef:
             parse_ref(bad)
 
 
+@pytest.mark.parametrize(
+    "text, parse",
+    [
+        ("stmt:claim", parse_entity_id),
+        ("ev:e1", parse_ref),
+        ("10.1234/x#stmt:claim", parse_ref),
+        ("0.9.0", parse_spec_version),
+        ("paper@1", parse_profile),
+    ],
+)
+def test_parsed_leaf_values_are_atomic_under_copy(text, parse):
+    value = parse(text)
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+    # A deep copy of what holds them shares them, and still copies the holder.
+    holder = [value]
+    copied = copy.deepcopy(holder)
+    assert copied is not holder and copied[0] is value
+
+
+def test_a_deep_copied_record_shares_only_its_leaf_values():
+    record, _ = load_record((FIXTURES / "moore.knows.yaml").read_bytes())
+    copied = copy.deepcopy(record)
+    assert copied == record and copied.statements[0] is not record.statements[0]
+    assert copied.statements[0].id is record.statements[0].id
+    assert copied.knows_version is record.knows_version and copied.profile is record.profile
+
+
 class TestVersions:
     def test_parse(self):
         assert parse_spec_version("0.9.0") == SpecVersion(0, 9, 0)
@@ -255,15 +282,18 @@ class TestKeptState:
 
     def test_an_in_memory_record_is_validated_once(self, monkeypatch):
         calls = []
+        findings = schema._findings
 
-        def counted(tree):
-            calls.append(tree)
-            return validate_tree(tree)
+        def counted(walk, value):
+            calls.append(value)
+            return findings(walk, value)
 
-        monkeypatch.setattr(schema, "validate_tree", counted)
+        monkeypatch.setattr(schema, "_findings", counted)
         record = self.with_untitled_artifact()
-        assert self.k001(record) == self.k001(record) != []
-        assert len(calls) == 1
+        first = self.k001(record)
+        assert first != [] and sum(value is record for value in calls) == 1
+        walked = len(calls)
+        assert self.k001(record) == first and len(calls) == walked
 
 
 class TestEntityLayout:

@@ -1,11 +1,11 @@
 import copy
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 import yaml
 
 from helpers import FIXTURES, RECORD_ORACLE, make_record
-from knows_sidecar import linter, schema
+from knows_sidecar import linter, model, schema, serialization
 from knows_sidecar.graph import Registry, resolve
 from knows_sidecar.linter import (
     LintCode,
@@ -14,6 +14,7 @@ from knows_sidecar.linter import (
     render_lines,
     render_text,
 )
+from knows_sidecar.model import Confidence
 from knows_sidecar.serialization import load_record, record_to_tree
 
 
@@ -97,6 +98,37 @@ def test_fixture_trees_pass_both_validators():
         tree = record_to_tree(record)
         assert not schema.validate_tree(tree)
         assert oracle_valid(tree)
+
+
+def _with_one_new_value(record):
+    """Copies of ``record`` that share all but one new statement, evidence or confidence."""
+    copies = [replace(record)]
+    if record.statements:
+        first, *rest = record.statements
+        copies.append(replace(record, statements=(replace(first, text=first.text + "!"), *rest)))
+        strength = Confidence(claim_strength="high", extraction_fidelity="low")
+        copies.append(replace(record, statements=(replace(first, confidence=strength), *rest)))
+    if record.evidence:
+        first, *rest = record.evidence
+        copies.append(replace(record, evidence=(replace(first, summary=first.summary + "!"), *rest)))
+    return copies
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("K001 emitted a tree")
+
+
+def test_in_memory_k001_emits_no_tree(monkeypatch):
+    records = [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.knows.yaml"))]
+    records += [make_record(seed) for seed in range(4)]
+    expected = [[lint(copy).findings for copy in _with_one_new_value(r)] for r in records]
+    # The tree builders: ``document_tree`` and the one each converter calls, per class.
+    classes = [c for c in vars(model).values() if is_dataclass(c) and c not in model.STRING_PARSERS]
+    for emit in [serialization.document_tree] + [serialization._emitter(c) for c in classes]:
+        monkeypatch.setattr(emit, "__code__", _refuse.__code__)
+    with pytest.raises(AssertionError, match="emitted a tree"):
+        serialization.record_to_tree(records[0])
+    assert [[lint(copy).findings for copy in _with_one_new_value(r)] for r in records] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cross-record resolution, the typed relation graph, and version chains."""
+"""Cross-record resolution, the relation graph, and version chains."""
 
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
 
 
 def build_graph(records: list[KnowsRecord]) -> RelationGraph:
-    """All entities as nodes; all relations as qualified, typed edges.
+    """All entities as nodes; all relations as qualified edges, each with its predicate.
 
     Edges are indexed by node, each key rendered once, for :func:`trace`.
     Unresolved remote endpoints become dangling placeholder nodes so partial

@@ -28,8 +28,8 @@ from .model import (
     as_ref,
     shown,
 )
-# ``bench/tracer.py`` wraps this name, which no package code calls: K001 walks a record's fields.
-from .serialization import document_tree  # noqa: F401
+# Kept only for ``bench/tracer.py``, which wraps this name; no package code calls it.
+from .serialization import record_to_tree as document_tree  # noqa: F401
 
 UrlProbe = Callable[[str], int]
 

@@ -81,25 +81,6 @@ def object_schema(cls: type) -> dict[str, Any]:
 RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **object_schema(model.KnowsRecord)}
 
 
-def _kept_nodes() -> dict[int, type]:
-    """The classes whose values root fields hold, by the id of the node they fill.
-
-    An item schema takes keywords from its field, so a class that kept its
-    findings for two root fields could keep the wrong ones: each fills one.
-    """
-    nodes = {}
-    for slot in model.slots(model.KnowsRecord):
-        if is_dataclass(slot.kind) and slot.kind not in _JSON_TYPES:
-            node = RECORD_SCHEMA["properties"][slot.key]
-            nodes[id(node["items"] if slot.many else node)] = slot.kind
-    if len(set(nodes.values())) != len(nodes):
-        raise TypeError("a dataclass fills more than one root field of KnowsRecord")
-    return nodes
-
-
-_KEPT_NODES = _kept_nodes()
-
-
 # ---------------------------------------------------------------------------
 # Compiler for the schema subset above: each node compiles once into
 # ``check(value, path, problems)``, appending (path, message) pairs.  ``path``
@@ -110,33 +91,44 @@ _KEPT_NODES = _kept_nodes()
 # ``walk_value``: it checks a value of that class (for an array, a tuple of
 # them) as ``check`` checks the value's emitted tree, without emitting it.  It
 # reads each field (``model.slots``), converts it with the converter of
-# ``serialization._emit_steps`` (a record's as ``document_tree`` does) and
-# checks what the tree would hold.  A field that holds a value of exactly its
-# declared class, or a tuple of them, is walked in turn instead; anything else
-# there (a list, an item of another class, a subclass) is converted and its
-# tree checked.  Fields are converted and checked in emission order.  Of the
-# checks, only reading a kept value's findings can raise, and a record's
-# fields, which hold kept values, are checked after every one is converted.
-# So every finding, its order and any exception are those of checking the
-# emitted tree.
+# ``serialization._emit_steps`` and checks what the tree would hold.  A field
+# that holds a value of exactly its declared class, or a tuple of them, is
+# walked in turn instead; anything else there (a list, an item of another
+# class, a subclass) is emitted and its tree checked.  Each field is converted
+# and checked before the next, in emission order, and only converting raises
+# (walking a value converts its fields), so every finding, its order and any
+# exception are those of emitting the tree and checking it.
 #
-# A ``RECORD_SCHEMA`` node that a root field's dataclass values fill reads a
-# value of exactly that class, in a tree or a record, as the findings it
-# keeps, ``_k001``: those of walking the value, with paths relative to it,
-# computed once per value.  A record keeps its own: ``load_record`` presets
-# them from the parsed tree, and one built in memory computes them once by
-# walking its fields.
+# Each value of a class that a root field of ``KnowsRecord`` holds keeps the
+# findings of its walk, ``_k001``, with paths relative to it, computed once
+# per value; the record's walk reads them.  A record keeps its own:
+# ``load_record`` presets them from the parsed tree, and one built in memory
+# computes them once by walking its fields.
 
 _Check = Callable[[Any, Any, list], None]
 
 _CLASSES = dict(string=str, integer=int, number=(int, float), boolean=bool, array=list, object=dict)
+
+# A ``$`` outside an escape and a character class, and what it skips over.
+_BARE_DOLLAR = re.compile(r"\\.|\[(?:\\.|[^\]])*\]|\$", re.S)
+
+
+def _ecma_search(pattern: str) -> Callable[[str], Any]:
+    """``search`` by ``pattern`` read as JSON Schema's ECMA-262 reads it.
+
+    There ``$`` matches only at the end of the string, not before a final
+    newline, and ``\\d`` and ``\\w`` match only ASCII characters.
+    """
+    text = _BARE_DOLLAR.sub(lambda m: r"\Z" if m[0] == "$" else m[0], pattern)
+    return re.compile(text, re.ASCII).search
+
 
 # Keyword -> its value -> (test on a value of the node's type, message); NaN fails both bounds.
 # ``minItems`` and ``minProperties`` test a length only, so a walk hands them a
 # tuple of items, or a dict of the keys a tree would hold.
 _TESTS = {
     "minLength": lambda n: (lambda v: len(v) >= n, "string must be non-empty"),
-    "pattern": lambda p: (re.compile(p).search, f"string does not match {p}"),
+    "pattern": lambda p: (_ecma_search(p), f"string does not match {p}"),
     "format": lambda _: (is_timestamp, "not a valid RFC 3339 timestamp"),  # date-time
     "minimum": lambda m: (lambda v: v >= m, f"number must be >= {m}"),
     "maximum": lambda m: (lambda v: v <= m, f"number must be <= {m}"),
@@ -145,8 +137,13 @@ _TESTS = {
 }
 
 
-def _compile(schema: Mapping[str, Any], cls: Any = None) -> tuple[_Check, Optional[_Check]]:
-    """The node's check and, when a dataclass ``cls`` fills the node, its ``walk_value``."""
+def _compile(
+    schema: Mapping[str, Any], cls: Any = None, kept: bool = False
+) -> tuple[_Check, Optional[_Check]]:
+    """The node's check and, when a dataclass ``cls`` fills the node, its ``walk_value``.
+
+    At a root field's node (``kept``), a value of ``cls`` keeps the findings of its walk.
+    """
     expected = schema.get("type")
     classes = _CLASSES.get(expected, object)
     numeric = expected in ("integer", "number")  # a bool is never a number
@@ -156,17 +153,17 @@ def _compile(schema: Mapping[str, Any], cls: Any = None) -> tuple[_Check, Option
     if expected == "object":
         walk, walk_value = _object_walks(schema, cls, tests)
     if "items" in schema:
-        check_item, walk_item = _compile(schema["items"], cls)
+        check_item, walk_item = _compile(schema["items"], cls, kept)
         walk = _items_walk(check_item)
         if walk_item is not None:
             walk_value = _tuple_walk(walk_item, tests)
-    kept = _KEPT_NODES.get(id(schema))
+    elif kept and walk_value is not None:
+        walk_fields = walk_value
+        _keep_findings(cls, lambda value: tuple(_findings(walk_fields, value)))
+        walk_value = _read_kept
 
     def check(value: Any, path: Any, problems: list) -> None:
         if not isinstance(value, classes) or (numeric and isinstance(value, bool)):
-            if type(value) is kept:
-                _read_kept(value, path, problems)
-                return
             problems.append((path, f"expected {expected}"))
             return
         if members is not None:
@@ -183,15 +180,17 @@ def _compile(schema: Mapping[str, Any], cls: Any = None) -> tuple[_Check, Option
         if walk is not None:
             walk(value, path, problems)
 
-    if kept is not None:
-        walk_fields = walk_value
-        _keep_findings(kept, lambda value: tuple(_findings(walk_fields, value)))
-        walk_value = _read_kept
     return check, walk_value
 
 
 def _keep_findings(cls: type, findings: Callable[[Any], tuple[tuple[str, str], ...]]) -> None:
-    """Give ``cls`` the kept state ``_k001``: ``findings`` of a value, computed once."""
+    """Give ``cls`` the kept state ``_k001``: ``findings`` of a value, computed once.
+
+    An item schema takes keywords from its field, so a class that kept its
+    findings for two root fields could keep the wrong ones: each fills one.
+    """
+    if "_k001" in vars(cls):
+        raise TypeError(f"{cls.__name__} fills more than one root field of KnowsRecord")
     kept = cached_property(findings)
     kept.__set_name__(cls, "_k001")
     cls._k001 = kept
@@ -222,15 +221,16 @@ def _adopter(cls: type, many: bool, walk_value: _Check) -> Callable[[Any], Optio
 def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Check, Optional[_Check]]:
     """The walk of an object node's mapping and, when ``cls`` is a dataclass, of its fields.
 
-    The second walks any value with the fields of ``cls``.  It checks each
-    field as soon as it is converted, but a record's: those fields are kept
-    values, whose findings are read once every field is converted, as
-    ``validate_tree(document_tree(record))`` reads them.
+    The second walks any value with the fields of ``cls``, checking each
+    field as soon as it is converted.
     """
     required = dict.fromkeys(schema.get("required", ()))
     slots = model.slots(cls) if is_dataclass(cls) else ()
     kinds = {slot.key: slot.kind for slot in slots}
-    nodes = {key: _compile(sub, kinds.get(key)) for key, sub in schema.get("properties", {}).items()}
+    nodes = {
+        key: _compile(sub, kinds.get(key), cls is model.KnowsRecord)
+        for key, sub in schema.get("properties", {}).items()
+    }
     properties = {key: check for key, (check, _) in nodes.items()}
     closed = schema.get("additionalProperties") is False
     one_of = [
@@ -265,8 +265,7 @@ def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Ch
 
     if not slots:
         return walk, None
-    record = cls is model.KnowsRecord
-    emit_steps = serialization._emit_steps(cls, typed=record)
+    emit_steps = serialization._emit_steps(cls)
     # Per field: (attribute, key, adopter or None, converter or None, check,
     # whether an adopted empty tuple drops the key, as an optional empty list does).
     steps = []
@@ -279,7 +278,6 @@ def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Ch
     def walk_fields(value: Any, path: Any, problems: list) -> None:
         start = len(problems)
         absent = []
-        deferred: Optional[list] = [] if record else None
         for attr, key, adopt, convert, check, drop_empty in steps:
             field = getattr(value, attr)
             if field is not None:
@@ -292,12 +290,8 @@ def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Ch
                     field = convert(field)
             if field is None:
                 absent.append(key)
-            elif deferred is None:
-                check(field, (key, path), problems)
             else:
-                deferred.append((check, field, key))
-        for check, field, key in deferred or ():
-            check(field, (key, path), problems)
+                check(field, (key, path), problems)
         if tests or one_of or not required.keys().isdisjoint(absent):
             # The keys the emitted tree holds: its size and its required keys
             # are checked before its fields, its alternatives after.

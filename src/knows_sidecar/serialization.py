@@ -58,7 +58,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_record(data: bytes | str) -> tuple[KnowsRecord, UnknownFieldLog]:
-    """Decode one YAML document into a typed record plus an unknown-field log.
+    """Decode one YAML document into a KnowsRecord plus an unknown-field log.
 
     The record keeps the K001 findings of the parsed tree (``_k001``, see
     :mod:`knows_sidecar.model`), not the tree.  Raises
@@ -333,19 +333,14 @@ def _render(value: Any) -> Any:
     return str(value) if isinstance(value, _RENDERED) else value
 
 
-def _typed(kind: type, emit: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Keep a value of exactly ``kind`` as it is; emit anything else."""
-    return lambda v: v if type(v) is kind else emit(v)
-
-
-def _emit_converter(slot: model.Slot, typed: bool) -> Optional[Callable[[Any], Any]]:
+def _emit_converter(slot: model.Slot) -> Optional[Callable[[Any], Any]]:
     """How one field emits, or None to emit the value as it is."""
     kind = slot.kind
     if "emit" in slot.meta:
         return slot.meta["emit"]
     if slot.many:
         if is_dataclass(kind):
-            item = _typed(kind, _emitter(kind)) if typed else _emitter(kind)
+            item = _emitter(kind)
             if slot.required:
                 return lambda v: [item(x) for x in v]
             return lambda v: [item(x) for x in v] or None
@@ -353,28 +348,26 @@ def _emit_converter(slot: model.Slot, typed: bool) -> Optional[Callable[[Any], A
     if kind in model.STRING_PARSERS:
         return _render
     if is_dataclass(kind):
-        return _typed(kind, _emitter(kind)) if typed else _emitter(kind)
+        return _emitter(kind)
     return None
 
 
 @cache
-def _emit_steps(cls: type, typed: bool = False) -> tuple:
+def _emit_steps(cls: type) -> tuple:
     """Each field of ``cls`` as (attribute, key, converter or None)."""
-    return tuple((slot.name, slot.key, _emit_converter(slot, typed)) for slot in model.slots(cls))
+    return tuple((slot.name, slot.key, _emit_converter(slot)) for slot in model.slots(cls))
 
 
 @cache
-def _emitter(cls: type, typed: bool = False) -> Callable[..., dict[str, Any]]:
-    """Compile the canonical tree builder of one dataclass from its field table.
+def _emitter(cls: type) -> Callable[..., dict[str, Any]]:
+    """Compile the canonical tree builder of one dataclass from its field table, once per class.
 
     A converter sees only values that are not None; a None value or result
-    drops the key, and an optional list that is empty drops it too.  When
-    ``typed``, a field's dataclass value (or item) of exactly its declared
-    class stays as it is.  Passing a slice of ``_emit_steps(cls, typed)``
-    builds the tree of those fields only.
+    drops the key, and an optional list that is empty drops it too.  Passing
+    a slice of ``_emit_steps(cls)`` builds the tree of those fields only.
     """
 
-    def emit(obj: Any, steps: tuple = _emit_steps(cls, typed)) -> dict[str, Any]:
+    def emit(obj: Any, steps: tuple = _emit_steps(cls)) -> dict[str, Any]:
         tree = {}
         for attr, key, convert in steps:
             value = getattr(obj, attr)
@@ -388,12 +381,6 @@ def _emitter(cls: type, typed: bool = False) -> Callable[..., dict[str, Any]]:
 
 
 _emit_root = _emitter(KnowsRecord)
-
-# The canonical root with each value (or list item) of exactly the class its
-# root field declares left as it is: checking it reads the findings those
-# values keep (see :mod:`knows_sidecar.schema`).  K001's walk of a record's
-# fields converts them as this does; no package code calls it.
-document_tree = _emitter(KnowsRecord, typed=True)
 
 
 def record_to_tree(record: KnowsRecord) -> dict[str, Any]:

@@ -257,8 +257,10 @@ class TestKeptState:
         # A value of another class is emitted, so it raises as `record_to_tree` does.
         with pytest.raises(AttributeError):
             lint(replace(record, artifacts=record.statements))
-        # A typed value is its kept findings only at the node its field's class fills.
+        # A tree is checked as a tree: a model value in it is not an object, and
+        # its kept findings are not read, even at the node its class fills.
         assert ("artifacts/0", "expected object") in validate_tree({"artifacts": [record.coverage]})
+        assert ("artifacts/0", "expected object") in validate_tree({"artifacts": [record.artifacts[0]]})
 
     def test_the_values_of_root_fields_keep_findings(self):
         # EntityId, SpecVersion, Profile and Ref values are written as strings.

@@ -100,6 +100,18 @@ def test_fixture_trees_pass_both_validators():
         assert oracle_valid(tree)
 
 
+@pytest.mark.parametrize("key, value", [("profile", "paper@1\n"), ("knows_version", "\u0660.\u0669.\u0660")])
+def test_pattern_reads_as_ecma_262(key, value):
+    # JSON Schema's ``$`` matches only at the end of the string, not before a
+    # final newline, and its ``\d`` only an ASCII digit, not an Arabic-Indic one.
+    expected = [(key, f"string does not match {schema.RECORD_SCHEMA['properties'][key]['pattern']}")]
+    tree = yaml.safe_load((FIXTURES / "minimal.knows.yaml").read_bytes())
+    loaded, _ = load_record(yaml.safe_dump(dict(tree, **{key: value}), allow_unicode=True))
+    built = replace(load_fixture("minimal.knows.yaml"), **{key: value})
+    for record in (loaded, built):
+        assert [(f.path, f.message) for f in findings_with(lint(record), LintCode.SCHEMA)] == expected
+
+
 def _with_one_new_value(record):
     """Copies of ``record`` that share all but one new statement, evidence or confidence."""
     copies = [replace(record)]
@@ -122,12 +134,15 @@ def test_in_memory_k001_emits_no_tree(monkeypatch):
     records = [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.knows.yaml"))]
     records += [make_record(seed) for seed in range(4)]
     expected = [[lint(copy).findings for copy in _with_one_new_value(r)] for r in records]
-    # The tree builders: ``document_tree`` and the one each converter calls, per class.
+    # The tree builders: each class's one emitter, ``KnowsRecord``'s included.
     classes = [c for c in vars(model).values() if is_dataclass(c) and c not in model.STRING_PARSERS]
-    for emit in [serialization.document_tree] + [serialization._emitter(c) for c in classes]:
-        monkeypatch.setattr(emit, "__code__", _refuse.__code__)
+    assert model.KnowsRecord in classes
+    for cls in classes:
+        monkeypatch.setattr(serialization._emitter(cls), "__code__", _refuse.__code__)
     with pytest.raises(AssertionError, match="emitted a tree"):
         serialization.record_to_tree(records[0])
+    with pytest.raises(AssertionError, match="emitted a tree"):
+        serialization._emitter(model.Statement)(records[0].statements[0])
     assert [[lint(copy).findings for copy in _with_one_new_value(r)] for r in records] == expected
 
 

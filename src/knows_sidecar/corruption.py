@@ -138,7 +138,9 @@ def inject(record: KnowsRecord, kind: InjectionKind, seed: int) -> Injection:
     targets = find_targets(record)
     if not targets:
         raise NotApplicableError(reason)
-    target, corrupted = corrupt(record, random.Random(seed).choice(targets))
+    # ``choice`` of one item returns it for every seed; seeding costs more than the rest.
+    chosen = targets[0] if len(targets) == 1 else random.Random(seed).choice(targets)
+    target, corrupted = corrupt(record, chosen)
     return Injection(kind, target, corrupted)
 
 

@@ -24,6 +24,7 @@ from .model import (
     Artifact,
     EntityId,
     KnowsRecord,
+    Ref,
     Representation,
     as_ref,
     shown,
@@ -86,65 +87,74 @@ def check_schema(record: KnowsRecord) -> list[LintFinding]:
 # Check 2: cross-reference integrity
 
 
+def _named(value: Any) -> Optional[EntityId]:
+    """The entity a parsed reference or entity ID names, building no ``Ref``;
+    None for anything else."""
+    if type(value) is Ref:
+        return value.entity
+    if type(value) is EntityId:
+        return value
+    ref = as_ref(value)  # a raw value, or an instance of a subclass
+    return None if ref is None else ref.entity
+
+
 def _check_refs(
-    owner: Any, base: str, index: Mapping[str, Any], findings: list[LintFinding]
+    owner: Any, path: str, index: Mapping[str, Any], findings: list[LintFinding]
 ) -> None:
-    """Resolve the reference fields of ``owner``; remote refs are grammar-checked only."""
+    """Resolve the reference fields of ``owner`` at ``path`` ("" for the record);
+    remote refs are grammar-checked only.  Paths are built only for findings."""
     for name, targets in REF_FIELDS[type(owner)]:
         value = getattr(owner, name)
-        ref = as_ref(value)
-        if ref is None:
-            message = f"unparseable reference {shown(value)}"
-        elif ref.is_remote:
+        if type(value) is Ref and value.record_id is None:
+            entity = value.entity  # a parsed local reference, the common case
+        elif isinstance(value, Ref) and value.is_remote:
             continue
-        elif targets is not None and ref.entity.entity_class not in targets:
-            message = f"reference {ref.entity} may only target {sorted(targets)}"
         else:
-            target = index.get(str(ref.entity))
-            if target is None:
-                message = f"dangling reference {ref.entity}"
-            elif ENTITY_CLASS[type(target)] != ref.entity.entity_class:
-                message = f"reference {ref.entity} resolves to a {ENTITY_CLASS[type(target)]}"
+            entity = _named(value)
+        if entity is None:
+            message = f"unparseable reference {shown(value)}"
+        else:
+            cls = entity.entity_class
+            target = index.get(str(entity))
+            if targets is not None and cls not in targets:
+                message = f"reference {entity} may only target {sorted(targets)}"
+            elif target is None:
+                message = f"dangling reference {entity}"
+            elif ENTITY_CLASS[type(target)] != cls:
+                message = f"reference {entity} resolves to a {ENTITY_CLASS[type(target)]}"
             else:
                 continue
-        findings.append(_err(LintCode.CROSSREF, base + name, message))
+        findings.append(_err(LintCode.CROSSREF, f"{path}/{name}" if path else name, message))
 
 
 def check_crossrefs(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
-    index = record.entity_index()
-    entities = record.entities()
-    local_reps = {shown(e.id, str) for e, _ in entities if type(e) is Representation}
+    pairs, index, ids, _ = record._walk
+    local_reps = {rendered for (e, _), rendered in zip(pairs, ids) if type(e) is Representation}
+    subject_ref = shown(record.subject_ref, str)
 
     _check_refs(record, "", index, findings)
     subject = record.subject_artifact()
     if subject is not None and subject.role != "subject":
-        message = f"{shown(record.subject_ref, str)} does not have role=subject"
+        message = f"{subject_ref} does not have role=subject"
         findings.append(_err(LintCode.CROSSREF, "subject_ref", message))
-    for entity, path in entities:
-        _check_refs(entity, path + "/", index, findings)
-        if (
-            type(entity) is Artifact
-            and entity.role == "subject"
-            and shown(entity.id, str) != shown(record.subject_ref, str)
-        ):
-            findings.append(
-                _err(
-                    LintCode.CROSSREF,
-                    path,
-                    f"extra subject artifact {shown(entity.id, str)}; "
-                    f"subject_ref names {shown(record.subject_ref, str)}",
-                )
-            )
+    for (entity, path), rendered in zip(pairs, ids):
+        if REF_FIELDS[type(entity)]:
+            _check_refs(entity, path, index, findings)
+        if type(entity) is Artifact and entity.role == "subject" and rendered != subject_ref:
+            message = f"extra subject artifact {rendered}; subject_ref names {subject_ref}"
+            findings.append(_err(LintCode.CROSSREF, path, message))
         # Source anchors name representations of this record only.
         for j, anchor in enumerate(getattr(entity, "source_anchors", ())):
-            anchor_path = f"{path}/source_anchors/{j}/representation_ref"
             ref = anchor.representation_ref
             if not isinstance(ref, EntityId):
                 message = f"unparseable reference {shown(ref)}"
-                findings.append(_err(LintCode.CROSSREF, anchor_path, message))
             elif str(ref) not in local_reps:
-                findings.append(_err(LintCode.CROSSREF, anchor_path, f"dangling reference {ref}"))
+                message = f"dangling reference {ref}"
+            else:
+                continue
+            anchor_path = f"{path}/source_anchors/{j}/representation_ref"
+            findings.append(_err(LintCode.CROSSREF, anchor_path, message))
     return findings
 
 
@@ -153,21 +163,10 @@ def check_crossrefs(record: KnowsRecord) -> list[LintFinding]:
 
 
 def check_id_uniqueness(record: KnowsRecord) -> list[LintFinding]:
-    findings: list[LintFinding] = []
-    seen: dict[str, str] = {}
-    for entity, path in record.entities():
-        rendered = shown(entity.id, str)
-        if rendered in seen:
-            findings.append(
-                _err(
-                    LintCode.ID_UNIQUE,
-                    path,
-                    f"duplicate entity id {rendered} (first declared at {seen[rendered]})",
-                )
-            )
-        else:
-            seen[rendered] = path
-    return findings
+    return [
+        _err(LintCode.ID_UNIQUE, path, f"duplicate entity id {rendered} (first declared at {first})")
+        for path, rendered, first in record._walk[3]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +195,21 @@ def check_id_prefixes(record: KnowsRecord) -> list[LintFinding]:
 def check_predicates(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     for i, rel in enumerate(record.relations):
-        path = f"relations/{i}"
         if rel.citation_intent is not None and rel.predicate != "cites":
-            findings.append(
-                _err(
-                    LintCode.PREDICATE,
-                    path,
-                    "citation_intent is only allowed with predicate 'cites'",
-                )
-            )
+            message = "citation_intent is only allowed with predicate 'cites'"
+            findings.append(_err(LintCode.PREDICATE, f"relations/{i}", message))
         if not isinstance(rel.predicate, str):
             continue  # a non-string predicate is K001's finding
         allowed = PREDICATE_MATRIX.get(rel.predicate)
         if allowed is None:
             continue  # out-of-vocabulary predicate is K001's finding
-        subject, obj = as_ref(rel.subject_ref), as_ref(rel.object_ref)
+        subject, obj = _named(rel.subject_ref), _named(rel.object_ref)
         if subject is None or obj is None:
             continue  # unparseable endpoints are K002's findings
-        pair = (subject.entity.prefix, obj.entity.prefix)
+        pair = (subject.prefix, obj.prefix)
         if pair not in allowed:
-            findings.append(
-                _err(
-                    LintCode.PREDICATE,
-                    path,
-                    f"predicate '{rel.predicate}' does not admit ({pair[0]} -> {pair[1]})",
-                )
-            )
+            message = f"predicate '{rel.predicate}' does not admit ({pair[0]} -> {pair[1]})"
+            findings.append(_err(LintCode.PREDICATE, f"relations/{i}", message))
     return findings
 
 
@@ -231,29 +219,19 @@ def check_predicates(record: KnowsRecord) -> list[LintFinding]:
 
 def check_discoverability(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
+    subject = shown(record.subject_ref, str)
     for i, art in enumerate(record.artifacts):
+        rendered = shown(art.id, str)
         has_identifier = art.identifiers is not None and art.identifiers.any_present()
         has_representation = any(
             rep.locator is not None and rep.locator.value for rep in art.representations
         )
         if not has_identifier and not has_representation:
-            findings.append(
-                _err(
-                    LintCode.DISCOVERABILITY,
-                    f"artifacts/{i}",
-                    f"artifact {shown(art.id, str)} has neither an identifier nor a located "
-                    "representation",
-                )
-            )
-        if shown(art.id, str) == shown(record.subject_ref, str) and not has_representation:
-            findings.append(
-                _err(
-                    LintCode.DISCOVERABILITY,
-                    f"artifacts/{i}",
-                    f"subject artifact {shown(art.id, str)} must carry at least one "
-                    "representation",
-                )
-            )
+            message = f"artifact {rendered} has neither an identifier nor a located representation"
+            findings.append(_err(LintCode.DISCOVERABILITY, f"artifacts/{i}", message))
+        if rendered == subject and not has_representation:
+            message = f"subject artifact {rendered} must carry at least one representation"
+            findings.append(_err(LintCode.DISCOVERABILITY, f"artifacts/{i}", message))
     return findings
 
 

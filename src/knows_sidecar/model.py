@@ -34,11 +34,14 @@ Kept state: what a value derives once and keeps lives in its instance
 (or, for a loaded record's K001 findings, by the loader).  It belongs to the
 object: equality and repr ignore it, ``dataclasses.replace`` starts without
 it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
-(``_walk``).  A record, and each dataclass value a root field of
-``KnowsRecord`` holds, alone or as a list item, keeps its K001 findings
-(``_k001``), relative to itself: a loaded record's are those of the tree it
-was parsed from, which it does not keep; any other value's are those of
-walking its fields, which finds what checking its emitted tree would.
+(``_walk``): the entities with their paths, the index by rendered ID, each
+entity's rendered ID (the index's own strings) and the repeated IDs, which
+K002-K004 read instead of rendering IDs again.  A record, and each dataclass
+value a root field of ``KnowsRecord`` holds, alone or as a list item, keeps
+its K001 findings (``_k001``), relative to itself: a loaded record's are
+those of the tree it was parsed from, which it does not keep; any other
+value's are those of walking its fields, which finds what checking its
+emitted tree would.
 :mod:`knows_sidecar.schema` sets that property on the classes when it
 compiles ``RECORD_SCHEMA``, since this module cannot import the schema.  The
 leaf values written as strings keep nothing and are atomic: copying one
@@ -249,14 +252,25 @@ class SpecVersion(_Atomic):
         return f"{self.major}.{self.minor}.{self.patch}"
 
 
-_SEMVER_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)$")
+# The parsers read digits and the end of a string as the K001 ``pattern`` of
+# their field does under ECMA-262 (ASCII digits, ``$`` only at the end), so a
+# value that parses emits back to a string with the same K001 outcome.
+_SEMVER_RE = re.compile(r"(\d+)\.(\d+)\.(\d+)\Z", re.ASCII)
+_PROFILE_MAJOR_RE = re.compile(r"[1-9]\d*\Z", re.ASCII)
+
+
+def _decimal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than ``int`` converts
+        raise MalformedError(f"number of {len(digits)} digits is too long") from None
 
 
 def parse_spec_version(text: str) -> SpecVersion:
     m = _SEMVER_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise MalformedError(f"version must be a dotted triple 'M.m.p': {shown(text)}")
-    return SpecVersion(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    return SpecVersion(*map(_decimal, m.groups()))
 
 
 def reader_accepts(record_version: SpecVersion, reader_version: SpecVersion) -> bool:
@@ -274,15 +288,16 @@ class Profile(_Atomic):
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse ``<name>@<major>``; the major version must be a positive integer."""
+    """Parse ``<name>@<major>``; the major version is a positive integer in ASCII
+    digits, with no leading zero."""
     if not isinstance(text, str) or "@" not in text:
         raise MalformedError(f"profile must be '<name>@<major>': {shown(text)}")
     name, _, major_text = text.rpartition("@")
     if not name:
         raise MalformedError(f"empty profile name: {text!r}")
-    if not major_text.isdecimal() or int(major_text) < 1:
+    if not _PROFILE_MAJOR_RE.match(major_text):
         raise MalformedError(f"profile major must be a positive integer: {text!r}")
-    return Profile(name, int(major_text))
+    return Profile(name, _decimal(major_text))
 
 
 # Value types written in YAML as strings, each with its parser.
@@ -550,22 +565,32 @@ class KnowsRecord:
     extensions: Optional[dict[str, Any]] = None
 
     @cached_property
-    def _walk(self) -> tuple[tuple[tuple[Any, str], ...], dict[str, Any]]:
-        """Entities with their paths, and the index over them."""
+    def _walk(self) -> tuple[tuple, dict[str, Any], tuple[str, ...], tuple[tuple[str, str, str], ...]]:
+        """Entities with their paths, the index over them, their rendered IDs
+        in the same order, and each repeated ID as (path, ID, first path)."""
         pairs: list[tuple[Any, str]] = []
         index: dict[str, Any] = {}
+        ids: list[str] = []
+        repeats: list[tuple[str, str, str]] = []
+        first: dict[str, str] = {}  # rendered ID -> path of its first entity
 
         def visit(owner: Any, base: str) -> None:
             for name in ENTITY_LISTS[type(owner)]:
                 for i, entity in enumerate(getattr(owner, name)):
                     path = f"{base}{name}/{i}"
+                    rendered = shown(entity.id, str)
+                    if rendered in index:
+                        repeats.append((path, rendered, first[rendered]))
+                    else:
+                        index[rendered] = entity
+                        first[rendered] = path
                     pairs.append((entity, path))
-                    index.setdefault(shown(entity.id, str), entity)
+                    ids.append(rendered)
                     if ENTITY_LISTS[type(entity)]:
                         visit(entity, path + "/")
 
         visit(self, "")
-        return tuple(pairs), index
+        return tuple(pairs), index, tuple(ids), tuple(repeats)
 
     def entities(self) -> tuple[tuple[Any, str], ...]:
         """Every entity with its path, in document order."""
@@ -576,8 +601,9 @@ class KnowsRecord:
         return MappingProxyType(self._walk[1])
 
     def subject_artifact(self) -> Optional[Artifact]:
+        subject = shown(self.subject_ref, str)
         for art in self.artifacts:
-            if shown(art.id, str) == shown(self.subject_ref, str):
+            if shown(art.id, str) == subject:
                 return art
         return None
 

@@ -109,17 +109,21 @@ _Check = Callable[[Any, Any, list], None]
 
 _CLASSES = dict(string=str, integer=int, number=(int, float), boolean=bool, array=list, object=dict)
 
-# A ``$`` outside an escape and a character class, and what it skips over.
-_BARE_DOLLAR = re.compile(r"\\.|\[(?:\\.|[^\]])*\]|\$", re.S)
+# A ``$`` or ``.`` outside an escape and a character class, and what it skips over.
+_BARE = re.compile(r"\\.|\[(?:\\.|[^\]])*\]|[$.]", re.S)
+# What a bare ``$`` and ``.`` read as in ECMA-262: the end, and any character
+# but a line terminator.
+_ECMA = {"$": r"\Z", ".": "[^\n\r\u2028\u2029]"}
 
 
 def _ecma_search(pattern: str) -> Callable[[str], Any]:
     """``search`` by ``pattern`` read as JSON Schema's ECMA-262 reads it.
 
     There ``$`` matches only at the end of the string, not before a final
-    newline, and ``\\d`` and ``\\w`` match only ASCII characters.
+    newline; ``.`` matches no line terminator (``\\n``, ``\\r``, U+2028,
+    U+2029); and ``\\d`` and ``\\w`` match only ASCII characters.
     """
-    text = _BARE_DOLLAR.sub(lambda m: r"\Z" if m[0] == "$" else m[0], pattern)
+    text = _BARE.sub(lambda m: _ECMA.get(m[0], m[0]), pattern)
     return re.compile(text, re.ASCII).search
 
 

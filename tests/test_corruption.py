@@ -1,6 +1,8 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import LIST_CLAIM_STRENGTH_DOC, make_record
 from knows_sidecar.corruption import (
@@ -12,6 +14,7 @@ from knows_sidecar.corruption import (
 )
 from knows_sidecar.errors import NotApplicableError
 from knows_sidecar.linter import LintCode, lint
+from knows_sidecar.model import Observation
 from knows_sidecar.serialization import load_record
 
 
@@ -90,6 +93,17 @@ class TestInject:
         a = inject(record, InjectionKind.OMIT_LIMITATION, seed=42)
         b = inject(record, InjectionKind.OMIT_LIMITATION, seed=42)
         assert a == b
+
+    @given(st.integers(), st.integers(1, 8))
+    def test_target_is_the_seeded_choice(self, seed, n_targets):
+        # One evidence item with ``n_targets`` numeric observations: the
+        # targets are (0, 0), (0, 1), ... in order.
+        record = make_record(6)
+        observations = tuple(Observation(metric=f"m{j}", value=float(j)) for j in range(n_targets))
+        record = replace(record, evidence=(replace(record.evidence[0], observations=observations),))
+        result = inject(record, InjectionKind.WRONG_NUMBER, seed=seed)
+        _, j = random.Random(seed).choice([(0, k) for k in range(n_targets)])
+        assert result.target == f"{record.evidence[0].id}/observations/{j}"
 
     def test_original_record_untouched(self):
         record = make_record(9)

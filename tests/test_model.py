@@ -124,10 +124,14 @@ class TestVersions:
         assert parse_spec_version("0.9.0") == SpecVersion(0, 9, 0)
         assert str(SpecVersion(1, 2, 3)) == "1.2.3"
 
-    @pytest.mark.parametrize("bad", ["0.9", "v1.0.0", "1.0.0.0", "", "a.b.c"])
+    @pytest.mark.parametrize("bad", ["0.9", "v1.0.0", "1.0.0.0", "", "a.b.c", "0.9.0\n", "\u0660.\u0669.\u0660"])
     def test_malformed(self, bad):
         with pytest.raises(MalformedError):
             parse_spec_version(bad)
+
+    def test_more_digits_than_int_converts(self):
+        with pytest.raises(MalformedError):
+            parse_spec_version("9" * 5000 + ".0.0")
 
     def test_reader_gate(self):
         reader = SpecVersion(0, 9, 0)
@@ -149,10 +153,16 @@ class TestProfile:
         assert parse_profile("paper@1") == Profile("paper", 1)
         assert parse_profile("name@with@2") == Profile("name@with", 2)
 
-    @pytest.mark.parametrize("bad", ["paper", "paper@0", "paper@-1", "@1", "paper@x", "paper@\u00b2"])
+    @pytest.mark.parametrize(
+        "bad", ["paper", "paper@0", "paper@-1", "@1", "paper@x", "paper@\u00b2", "paper@\u0661", "paper@01", "paper@1\n"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(MalformedError):
             parse_profile(bad)
+
+    def test_more_digits_than_int_converts(self):
+        with pytest.raises(MalformedError):
+            parse_profile("paper@" + "9" * 5000)
 
 
 class TestTimestamp:

@@ -222,26 +222,37 @@ def test_a_loaded_record_keeps_its_findings_and_not_its_tree(doc):
     assert set(vars(record)) - {f.name for f in fields(record)} <= {"_k001", "_walk"}
 
 
-def _newline_pins(node, value, path=""):
+# Each ``pattern`` of the record schema as ECMA-262 reads it, written out for
+# Python's ``re``: ``$`` only at the end, ``.`` no line terminator, ``\d`` ASCII.
+ECMA_PATTERNS = {
+    r"^\d+\.\d+\.\d+$": r"^[0-9]+\.[0-9]+\.[0-9]+\Z",
+    r"^.+@[1-9]\d*$": "^[^\n\r\u2028\u2029]+@[1-9][0-9]*\\Z",
+    r"^[^#]+$": r"^[^#]+\Z",
+}
+
+
+def _ecma_pins(node, value, path=""):
     """The findings K001 makes where the library's reading of ``pattern`` differs.
 
     The library searches with Python's ``re``, where ``$`` also matches before
-    a final newline; K001 reads ``$`` as ECMA-262 does, only at the end.
+    a final newline, ``.`` matches ``\\r``, U+2028 and U+2029, and ``\\d``
+    any decimal digit; K001 reads ``pattern`` as ECMA-262 does.
     """
     if isinstance(value, str) and "pattern" in node:
         pattern = node["pattern"]
-        if re.search(pattern, value) and not re.search(pattern.replace("$", r"\Z"), value):
+        if re.search(pattern, value) and not re.search(ECMA_PATTERNS[pattern], value):
             yield path, f"string does not match {pattern}"
     elif isinstance(value, dict):
         for key, sub in node.get("properties", {}).items():
             if key in value:
-                yield from _newline_pins(sub, value[key], f"{path}/{key}" if path else key)
+                yield from _ecma_pins(sub, value[key], f"{path}/{key}" if path else key)
 
 
 @settings(deadline=None)
 @given(mutated_documents())
 @example((FIXTURES / "moore.knows.yaml").read_bytes() + b"year: 2026.0\n")
 @example((FIXTURES / "minimal.knows.yaml").read_bytes().replace(b"profile: paper@1", b'profile: "paper@1\\n"'))
+@example((FIXTURES / "minimal.knows.yaml").read_bytes().replace(b"profile: paper@1", b'profile: "a\\rb@1"'))
 def test_k001_agrees_with_jsonschema(doc):
     try:
         load_record(doc)
@@ -251,14 +262,14 @@ def test_k001_agrees_with_jsonschema(doc):
     findings = validate_tree(tree)
     # The pinned divergences: JSON Schema counts an integral float such as
     # ``year: 2026.0`` as an integer, and K001 reports "expected integer";
-    # the library matches ``profile: "paper@1\n"``, and K001 does not.
+    # the library matches ``profile: "paper@1\n"`` and ``"a\rb@1"``, and K001 does not.
     year = tree.get("year")
     pinned = isinstance(year, float) and year.is_integer()
-    newline = list(_newline_pins(schema.RECORD_SCHEMA, tree))
-    assert (not findings) == (RECORD_ORACLE.is_valid(tree) and not pinned and not newline)
+    ecma = list(_ecma_pins(schema.RECORD_SCHEMA, tree))
+    assert (not findings) == (RECORD_ORACLE.is_valid(tree) and not pinned and not ecma)
     if pinned:
         assert ("year", "expected integer") in findings
-    for pin in newline:
+    for pin in ecma:
         assert pin in findings
 
 

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
 
 from helpers import DEEP_DOC, FIXTURES, make_record
 from knows_sidecar import serialization
 from knows_sidecar.errors import EmissionError, RecordSyntaxError, TypeMismatchError
+from knows_sidecar.linter import check_schema
 from knows_sidecar.model import Author, EntityId, Observation, Profile, SpecVersion
 from knows_sidecar.projection import token_report
 from knows_sidecar.scaffold import CandidateEvidence, ExtractedContent, ScaffoldInput, scaffold_record
@@ -80,9 +82,32 @@ class TestLoad:
         assert record.subject_ref == "not an id"
 
     def test_profile_major_parses_only_decimal_digits(self):
-        assert load_record("profile: paper@\u0663\n")[0].profile == Profile("paper", 3)
-        # A superscript digit is a digit to str.isdigit but not to int().
+        # Only ASCII digits, as K001's pattern reads ``\d``: an Arabic-Indic
+        # three stays raw, and so does a superscript two.
+        assert load_record("profile: paper@\u0663\n")[0].profile == "paper@\u0663"
         assert load_record("profile: paper@\u00b2\n")[0].profile == "paper@\u00b2"
+        assert load_record("profile: paper@3\n")[0].profile == Profile("paper", 3)
+
+    @given(
+        st.sampled_from(["knows_version", "profile"]),
+        st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+            st.lists(
+                st.sampled_from(["0", "1", "9", ".", "@", "p", "\n", "\r", "\u2028", "\u0663", "\u00b2"]),
+                max_size=7,
+            ).map("".join),
+        ),
+    )
+    @example("knows_version", "0.9.0\n")
+    @example("knows_version", "\u0660.\u0669.\u0660")
+    @example("profile", "paper@\u0661")
+    @example("profile", "paper@01")
+    def test_a_parsed_string_keeps_its_k001_outcome_through_emission(self, name, text):
+        tree = yaml.safe_load((FIXTURES / "minimal.knows.yaml").read_bytes())
+        tree[name] = text
+        record, _ = load_record(yaml.safe_dump(tree, allow_unicode=True, sort_keys=False))
+        reloaded, _ = load_record(emit_record(record))
+        assert check_schema(reloaded) == check_schema(record)
 
     def test_unknown_root_key_logged(self):
         record, log = load_record("record_id: r1\nbogus_key: 1\n")

@@ -57,7 +57,8 @@ class RelationGraph:
 
     @cached_property
     def _index(self) -> tuple[_Positions, _Positions, _Positions]:
-        """Node, edge subject and edge object positions and keys; build_graph presets it."""
+        """Node, edge subject and edge object positions and keys.  build_graph presets it
+        from the keys it built; a graph built any other way renders them here, once."""
         return (
             _Positions([str(n) for n in self.nodes]),
             _Positions([str(e.subject) for e in self.edges]),
@@ -117,54 +118,54 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
 def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     """All entities as nodes; all relations as qualified edges, each with its predicate.
 
-    Edges are indexed by node, each key rendered once, for :func:`trace`.
-    Unresolved remote endpoints become dangling placeholder nodes so partial
-    registries remain traversable.  A relation with an unparseable id or
-    endpoint, or a predicate that is not a string, is left out; lint reports
-    it (K001, K002).
+    A node's key is its record_id and the ID its record's walk rendered; the first entity
+    to declare a key is its node.  Edges are indexed by node, each endpoint key rendered
+    once, for :func:`trace`.  Their endpoints and relation IDs are the node objects of their
+    keys, one :class:`QualifiedId` per node, save where a record_id renders as another does
+    (None as "None").  Unresolved remote endpoints become dangling placeholder nodes so
+    partial registries remain traversable.  A relation with an unparseable id or endpoint,
+    or a predicate that is not a string, is left out; lint reports it (K001, K002).
     """
     nodes: dict[str, QualifiedId] = {}
-    dangling: list[QualifiedId] = []
     for record in records:
-        for entity, _ in record.entities():
-            if isinstance(entity.id, EntityId):
-                q = QualifiedId(record.record_id, entity.id)
-                nodes.setdefault(str(q), q)
+        home, (pairs, _, ids, _) = record.record_id, record._walk
+        for (entity, _), rendered in zip(pairs, ids):
+            key = f"{home}#{rendered}"
+            if key not in nodes and isinstance(entity.id, EntityId):
+                nodes[key] = QualifiedId(home, entity.id)
 
+    dangling: list[QualifiedId] = []
     edges: list[Edge] = []
     subject_keys: list[str] = []
     object_keys: list[str] = []
     for record in records:
+        home = record.record_id
         for rel in record.relations:
-            endpoints = []
-            for ref in map(as_ref, (rel.subject_ref, rel.object_ref)):
-                if ref is None:
-                    endpoints = None
+            ends = []
+            for ref in (rel.subject_ref, rel.object_ref):
+                if isinstance(ref, EntityId):
+                    rid, entity = home, ref
+                elif isinstance(ref, Ref):
+                    rid, entity = (home if ref.record_id is None else ref.record_id), ref.entity
+                else:
                     break
-                rid = ref.record_id if ref.is_remote else record.record_id
-                q = QualifiedId(rid, ref.entity)
-                key = str(q)
-                if key not in nodes:
-                    nodes[key] = q
+                # As EntityId.__str__ renders it, which the walk's IDs are.
+                key = f"{rid}#{entity.prefix}:{entity.local}"
+                q = nodes.get(key)
+                if q is None:
+                    q = nodes[key] = QualifiedId(rid, entity)
                     dangling.append(q)
-                endpoints.append((key, q))
-            if (
-                endpoints is None
-                or not isinstance(rel.id, EntityId)
-                or not isinstance(rel.predicate, str)
-            ):
-                continue
-            (subject_key, subject), (object_key, obj) = endpoints
-            edges.append(
-                Edge(
-                    subject=subject,
-                    predicate=rel.predicate,
-                    object=obj,
-                    relation_id=QualifiedId(record.record_id, rel.id),
-                )
-            )
-            subject_keys.append(subject_key)
-            object_keys.append(object_key)
+                elif q.record_id != rid:
+                    q = QualifiedId(rid, entity)
+                ends.append((key, q))
+            if len(ends) == 2 and isinstance(rel.id, EntityId) and isinstance(rel.predicate, str):
+                (subject_key, subject), (object_key, obj) = ends
+                relation_id = nodes[f"{home}#{rel.id.prefix}:{rel.id.local}"]
+                if relation_id.record_id != home:
+                    relation_id = QualifiedId(home, rel.id)
+                edges.append(Edge(subject, rel.predicate, obj, relation_id))
+                subject_keys.append(subject_key)
+                object_keys.append(object_key)
     graph = RelationGraph(nodes=tuple(nodes.values()), edges=tuple(edges), dangling=tuple(dangling))
     index = (_Positions(list(nodes)), _Positions(subject_keys), _Positions(object_keys))
     object.__setattr__(graph, "_index", index)
@@ -265,9 +266,7 @@ def trace(
 
 def export_edge_list(graph: RelationGraph) -> str:
     """Line-oriented export with a summary header; stable ordering."""
+    rows = sorted((str(e.subject), e.predicate, str(e.object), str(e.relation_id)) for e in graph.edges)
     lines = [f"# nodes={len(graph.nodes)} edges={len(graph.edges)}"]
-    for edge in sorted(
-        graph.edges, key=lambda e: (str(e.subject), e.predicate, str(e.object), str(e.relation_id))
-    ):
-        lines.append(f"{edge.subject}\t{edge.predicate}\t{edge.object}\t{edge.relation_id}")
+    lines.extend(f"{subject}\t{predicate}\t{obj}\t{rel}" for subject, predicate, obj, rel in rows)
     return "\n".join(lines)

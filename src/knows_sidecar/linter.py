@@ -26,7 +26,6 @@ from .model import (
     KnowsRecord,
     Ref,
     Representation,
-    as_ref,
     shown,
 )
 # Kept only for ``bench/tracer.py``, which wraps this name; no package code calls it.
@@ -94,8 +93,7 @@ def _named(value: Any) -> Optional[EntityId]:
         return value.entity
     if type(value) is EntityId:
         return value
-    ref = as_ref(value)  # a raw value, or an instance of a subclass
-    return None if ref is None else ref.entity
+    return None
 
 
 def _check_refs(
@@ -105,12 +103,12 @@ def _check_refs(
     remote refs are grammar-checked only.  Paths are built only for findings."""
     for name, targets in REF_FIELDS[type(owner)]:
         value = getattr(owner, name)
-        if type(value) is Ref and value.record_id is None:
+        if type(value) is Ref:
+            if value.record_id is not None:
+                continue
             entity = value.entity  # a parsed local reference, the common case
-        elif isinstance(value, Ref) and value.is_remote:
-            continue
         else:
-            entity = _named(value)
+            entity = value if type(value) is EntityId else None
         if entity is None:
             message = f"unparseable reference {shown(value)}"
         else:

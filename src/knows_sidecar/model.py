@@ -1,11 +1,11 @@
 """Typed domain model for KnowsRecord v0.9, and the one table of its shape.
 
 Every entity and metadata block of the sidecar format is an immutable
-dataclass, and the dataclasses are the only place the record shape is
-written down.  Field order, YAML key and required-ness come from
-``dataclasses.fields``: a field without a default is required.  Nesting comes
-from the type hints: a dataclass is a nested object, ``tuple[X, ...]`` a list
-of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
+dataclass that cannot be subclassed (``_Sealed``), and the dataclasses are
+the only place the record shape is written down.  Field order, YAML key and
+required-ness come from ``dataclasses.fields``: a field without a default is
+required.  Nesting comes from the type hints: a dataclass is a nested object,
+``tuple[X, ...]`` a list of X, ``Optional[X]`` an optional X.  ``field(metadata=...)`` carries the rest:
 
 * ``enum``: the closed vocabulary, a frozenset;
 * ``minLength``, ``pattern``, ``format``, ``minimum``, ``maximum`` (inclusive;
@@ -34,15 +34,15 @@ Kept state: what a value derives once and keeps lives in its instance
 (or, for a loaded record's K001 findings, by the loader).  It belongs to the
 object: equality and repr ignore it, ``dataclasses.replace`` starts without
 it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
-(``_walk``): the entities with their paths, the index by rendered ID, each
-entity's rendered ID (the index's own strings) and the repeated IDs, which
-K002-K004 read instead of rendering IDs again.  A record, and each dataclass
-value a root field of ``KnowsRecord`` holds, alone or as a list item, keeps
-its K001 findings (``_k001``), relative to itself: a loaded record's are
-those of the tree it was parsed from, which it does not keep; any other
-value's are those of walking its fields, which finds what checking its
-emitted tree would.
-:mod:`knows_sidecar.schema` sets that property on the classes when it
+(``_walk``), made by one flat loop over ``ENTITY_LISTS`` that renders each
+parsed ID inline: the entities with their paths, the index by rendered ID,
+each entity's rendered ID (the index's own strings) and the repeated IDs,
+which K002-K004 and the graph read instead of rendering IDs again.  A record,
+and each dataclass value a root field of ``KnowsRecord`` holds, alone or as a
+list item, keeps its K001 findings (``_k001``), relative to itself: a loaded
+record's are those of the tree it was parsed from, which it does not keep;
+any other value's are those of walking its fields, which finds what checking
+its emitted tree would.  :mod:`knows_sidecar.schema` sets that property on the classes when it
 compiles ``RECORD_SCHEMA``, since this module cannot import the schema.  The
 leaf values written as strings keep nothing and are atomic: copying one
 returns it (see ``_Atomic``).  So a dataclass of the package has an
@@ -55,7 +55,7 @@ per-instance dict, which is most of a record's objects.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import datetime
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -157,7 +157,26 @@ def shown(value: Any, show: Callable[[Any], str] = repr, outer: Optional[set] = 
 # Identifiers and references
 
 
-class _Atomic:
+class _Sealed:
+    """A model class, which cannot be subclassed.
+
+    The package looks model values up by their exact class (``ENTITY_LISTS``,
+    ``REF_FIELDS``, ``ENTITY_CLASS``, K001's walk of a field's value), so a
+    subclass could only be handled by a second path.  Subclassing a model
+    dataclass raises ``TypeError``; the class ``@dataclass(slots=True)``
+    re-creates has the same bases, which are not dataclasses, so it is allowed.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for base in cls.__bases__:
+            if is_dataclass(base):
+                raise TypeError(f"model class {base.__name__} cannot be subclassed")
+
+
+class _Atomic(_Sealed):
     """A value that copying returns as it is, as ``decimal.Decimal`` does.
 
     For the leaf values written as strings: frozen, and built by their parsers
@@ -314,7 +333,7 @@ STRING_PARSERS = {
 
 
 @dataclass(frozen=True, slots=True)
-class Identifiers:
+class Identifiers(_Sealed):
     doi: Optional[str] = _meta(None, minLength=1)
     arxiv: Optional[str] = _meta(None, minLength=1)
     isbn: Optional[str] = _meta(None, minLength=1)
@@ -325,33 +344,33 @@ class Identifiers:
 
 
 @dataclass(frozen=True, slots=True)
-class Locator:
+class Locator(_Sealed):
     type: str = _vocab("path", "url")
     value: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True, slots=True)
-class Representation:
+class Representation(_Sealed):
     id: EntityId = _meta(minLength=1)
     media_type: str = _meta(minLength=1)
     locator: Locator
 
 
 @dataclass(frozen=True, slots=True)
-class SourceAnchor:
+class SourceAnchor(_Sealed):
     representation_ref: EntityId = _meta(minLength=1)
     locator_type: str = _vocab("section", "table", "figure", "page", "equation", "other")
     locator: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True, slots=True)
-class Confidence:
+class Confidence(_Sealed):
     claim_strength: str = _meta(enum=_CONFIDENCE_LEVELS)
     extraction_fidelity: str = _meta(enum=_CONFIDENCE_LEVELS)
 
 
 @dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(_Sealed):
     metric: str = _meta(minLength=1)
     value: Optional[float] = _meta(None, raw=True)
     unit: Optional[str] = None
@@ -359,13 +378,13 @@ class Observation:
 
 
 @dataclass(frozen=True, slots=True)
-class Actor:
+class Actor(_Sealed):
     name: str = _meta(minLength=1)
     type: str = _vocab("person", "organization", "agent")
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(_Sealed):
     origin: str = _vocab("author", "third_party", "machine", "other")
     actor: Actor
     generated_at: str = _meta(format="date-time")
@@ -375,7 +394,7 @@ class Provenance:
 
 
 @dataclass(frozen=True, slots=True)
-class SafetyPolicy:
+class SafetyPolicy(_Sealed):
     sandbox_required: bool
     network: bool
     secrets_required: bool
@@ -383,13 +402,13 @@ class SafetyPolicy:
 
 
 @dataclass(frozen=True, slots=True)
-class ActionInterface:
+class ActionInterface(_Sealed):
     kind: str = _vocab("http", "cli", "other")
     locator: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
-class Artifact:
+class Artifact(_Sealed):
     id: EntityId = _meta(minLength=1)
     artifact_type: str = _vocab(
         "paper", "repository", "dataset", "model", "benchmark", "software", "website", "other"
@@ -402,7 +421,7 @@ class Artifact:
 
 
 @dataclass(frozen=True)
-class Statement:
+class Statement(_Sealed):
     id: EntityId = _meta(minLength=1)
     statement_type: str = _vocab(
         "claim", "assumption", "limitation", "method", "question", "definition"
@@ -420,7 +439,7 @@ class Statement:
 
 
 @dataclass(frozen=True)
-class Evidence:
+class Evidence(_Sealed):
     id: EntityId = _meta(minLength=1)
     evidence_type: str = _vocab(
         "table_result",
@@ -446,7 +465,7 @@ class Evidence:
 
 
 @dataclass(frozen=True)
-class Relation:
+class Relation(_Sealed):
     id: EntityId = _meta(minLength=1)
     subject_ref: Ref = _meta(minLength=1)
     predicate: str = _vocab(*PREDICATE_MATRIX)
@@ -467,7 +486,7 @@ class Relation:
 
 
 @dataclass(frozen=True)
-class Action:
+class Action(_Sealed):
     id: EntityId = _meta(minLength=1)
     action_type: str = _vocab("download", "run", "query", "deploy", "other")
     label: str = _meta(minLength=1)
@@ -493,27 +512,27 @@ ENTITY_CLASS = {
 
 
 @dataclass(frozen=True)
-class VersionTriple:
+class VersionTriple(_Sealed):
     spec: SpecVersion = _meta(pattern=_SEMVER_PATTERN, emit=str)
     record: str = _meta(minLength=1, load=str)
     source: str = _meta(minLength=1)
 
 
 @dataclass(frozen=True)
-class Freshness:
+class Freshness(_Sealed):
     as_of: str = _meta(format="date-time")
     update_policy: str = _vocab("versioned", "living", "frozen")
     stale_after: Optional[str] = _meta(None, format="date-time")
 
 
 @dataclass(frozen=True)
-class Coverage:
+class Coverage(_Sealed):
     statements: str = _vocab("none", "partial", "main_claims_only", "full")
     evidence: str = _vocab("none", "partial", "key_evidence_only", "full")
 
 
 @dataclass(frozen=True)
-class Author:
+class Author(_Sealed):
     name: str = _meta(minLength=1)
     affiliation: Optional[str] = None
     role: Optional[str] = None
@@ -521,7 +540,7 @@ class Author:
 
 
 @dataclass(frozen=True)
-class ExternalMetadataRef:
+class ExternalMetadataRef(_Sealed):
     standard: str = _vocab(
         "datacite", "codemeta", "citation_cff", "croissant", "model_card", "ro_crate"
     )
@@ -529,7 +548,7 @@ class ExternalMetadataRef:
 
 
 @dataclass(frozen=True)
-class KnowsRecord:
+class KnowsRecord(_Sealed):
     """Root sidecar document.
 
     Instances are value objects: two records loaded from differently ordered
@@ -571,26 +590,36 @@ class KnowsRecord:
         pairs: list[tuple[Any, str]] = []
         index: dict[str, Any] = {}
         ids: list[str] = []
-        repeats: list[tuple[str, str, str]] = []
-        first: dict[str, str] = {}  # rendered ID -> path of its first entity
-
-        def visit(owner: Any, base: str) -> None:
-            for name in ENTITY_LISTS[type(owner)]:
-                for i, entity in enumerate(getattr(owner, name)):
-                    path = f"{base}{name}/{i}"
-                    rendered = shown(entity.id, str)
-                    if rendered in index:
-                        repeats.append((path, rendered, first[rendered]))
-                    else:
+        repeated: list[tuple[str, str]] = []  # (path, ID) of each entity whose ID came before
+        listed: list[tuple[Any, str]] = []  # entities an entity lists, not yet visited
+        for name in ENTITY_LISTS[KnowsRecord]:
+            for i, entity in enumerate(getattr(self, name)):
+                path = f"{name}/{i}"
+                while True:
+                    eid = entity.id
+                    rendered = f"{eid.prefix}:{eid.local}" if type(eid) is EntityId else shown(eid, str)
+                    if rendered not in index:
                         index[rendered] = entity
-                        first[rendered] = path
+                    else:
+                        repeated.append((path, rendered))
                     pairs.append((entity, path))
                     ids.append(rendered)
-                    if ENTITY_LISTS[type(entity)]:
-                        visit(entity, path + "/")
-
-        visit(self, "")
-        return tuple(pairs), index, tuple(ids), tuple(repeats)
+                    inner = ENTITY_LISTS[type(entity)]
+                    if inner:  # visited next, before the entities listed after this one
+                        listed[:0] = [
+                            (each, f"{path}/{n}/{j}")
+                            for n in inner
+                            for j, each in enumerate(getattr(entity, n))
+                        ]
+                    if not listed:
+                        break
+                    entity, path = listed.pop(0)
+        first: dict[str, str] = {}  # rendered ID -> path of its first entity, once one repeats
+        if repeated:
+            for rendered, (_, path) in zip(ids, pairs):
+                first.setdefault(rendered, path)
+        repeats = tuple((path, rendered, first[rendered]) for path, rendered in repeated)
+        return tuple(pairs), index, tuple(ids), repeats
 
     def entities(self) -> tuple[tuple[Any, str], ...]:
         """Every entity with its path, in document order."""

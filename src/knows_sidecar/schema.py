@@ -3,10 +3,11 @@
 ``RECORD_SCHEMA`` is the JSON Schema the ``$schema`` root key points at,
 expressed as a plain dict so tests can cross-check it with an off-the-shelf
 validator; it and :func:`object_schema` are built from dataclass field tables.
-:func:`validator` compiles a schema once, into one closure per schema node.
+:func:`validator` compiles a schema once, into one step table per object
+node, which one loop per object reads, checking each leaf inline.
 :func:`validate_tree` is the compiled ``RECORD_SCHEMA``, which checks trees.
-The same compilation walks the fields of a record built in memory, and of
-each value it holds, without emitting a tree.  Every record keeps its
+The same tables walk the fields of a record built in memory, and of each
+value it holds, without emitting a tree.  Every record keeps its
 findings as ``_k001``, which the linter's check 1 reports, so its verdict is
 that of validating the record's tree by the schema.
 """
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import is_dataclass
-from functools import cached_property
-from typing import Any, Callable, Mapping, Optional
+from functools import cached_property, partial
+from typing import Any, Callable, Mapping
 
 from . import model, serialization
-from .model import is_timestamp
+from .model import EntityId, is_timestamp
 
 _JSON_TYPES = {
     str: "string",
@@ -82,30 +83,31 @@ RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **object_schema(model.
 
 
 # ---------------------------------------------------------------------------
-# Compiler for the schema subset above: each node compiles once into
-# ``check(value, path, problems)``, appending (path, message) pairs.  ``path``
-# is a (key, parent) chain, None at the root, rendered only for a problem.  A
-# value of the wrong type or outside the enumeration gets no further checks.
+# Compiler for the schema subset above.  Each node compiles once, at import,
+# into a ``_Node``; an object node holds a step table, one step per property
+# in schema order.  A check appends (path, message) pairs, where ``path`` is a
+# (key, parent) chain, None at the root, rendered only at the end.  One loop
+# per object checks each leaf value inline and calls a node's ``check`` only
+# to descend into a nested object or array, so it builds a path only for a
+# finding or for a value it descends into.  A value of the wrong type or
+# outside the enumeration gets no further checks.
 #
-# A node that a model dataclass fills (for an array, its items) also compiles
-# ``walk_value``: it checks a value of that class (for an array, a tuple of
-# them) as ``check`` checks the value's emitted tree, without emitting it.  It
-# reads each field (``model.slots``), converts it with the converter of
-# ``serialization._emit_steps`` and checks what the tree would hold.  A field
-# that holds a value of exactly its declared class, or a tuple of them, is
-# walked in turn instead; anything else there (a list, an item of another
-# class, a subclass) is emitted and its tree checked.  Each field is converted
-# and checked before the next, in emission order, and only converting raises
-# (walking a value converts its fields), so every finding, its order and any
-# exception are those of emitting the tree and checking it.
+# An object node that a model dataclass fills also walks a value of that
+# class: the same loop checks its fields as it checks the value's emitted
+# tree, without emitting it.  It reads each field (``model.slots``), converts
+# it with the converter of ``serialization._emit_steps`` and checks what the
+# tree would hold.  A field that holds a value of exactly its declared class,
+# or a tuple of them, is walked in turn instead; anything else there (a list,
+# an item of another class) is emitted and its tree checked.  Each field is
+# converted and checked before the next, in emission order, and only
+# converting raises (walking a value converts its fields), so every finding,
+# its order and any exception are those of emitting the tree and checking it.
 #
 # Each value of a class that a root field of ``KnowsRecord`` holds keeps the
 # findings of its walk, ``_k001``, with paths relative to it, computed once
 # per value; the record's walk reads them.  A record keeps its own:
 # ``load_record`` presets them from the parsed tree, and one built in memory
 # computes them once by walking its fields.
-
-_Check = Callable[[Any, Any, list], None]
 
 _CLASSES = dict(string=str, integer=int, number=(int, float), boolean=bool, array=list, object=dict)
 
@@ -127,11 +129,11 @@ def _ecma_search(pattern: str) -> Callable[[str], Any]:
     return re.compile(text, re.ASCII).search
 
 
-# Keyword -> its value -> (test on a value of the node's type, message); NaN fails both bounds.
+# Keyword -> its value -> (test on a value of the node's type, message); NaN
+# fails both bounds.  ``minLength`` is read inline (``_Node.min_length``).
 # ``minItems`` and ``minProperties`` test a length only, so a walk hands them a
 # tuple of items, or a dict of the keys a tree would hold.
 _TESTS = {
-    "minLength": lambda n: (lambda v: len(v) >= n, "string must be non-empty"),
     "pattern": lambda p: (_ecma_search(p), f"string does not match {p}"),
     "format": lambda _: (is_timestamp, "not a valid RFC 3339 timestamp"),  # date-time
     "minimum": lambda m: (lambda v: v >= m, f"number must be >= {m}"),
@@ -140,201 +142,249 @@ _TESTS = {
     "minProperties": lambda n: (lambda v: len(v) >= n, "at least one field required"),
 }
 
+# How an object's loop checks a property's value: by its enumeration alone, by
+# its type and keyword tests, or by the node's ``check`` (objects, arrays and
+# any other combination of keywords).
+_ENUM, _SCALAR, _OTHER = range(3)
 
-def _compile(
-    schema: Mapping[str, Any], cls: Any = None, kept: bool = False
-) -> tuple[_Check, Optional[_Check]]:
-    """The node's check and, when a dataclass ``cls`` fills the node, its ``walk_value``.
+# The emission converter of the values written as strings, and their classes.
+_render_value = serialization._render
+_RENDERED = frozenset(model.STRING_PARSERS)
 
-    At a root field's node (``kept``), a value of ``cls`` keeps the findings of its walk.
+
+class _Node:
+    """One compiled schema node.
+
+    ``min_length`` is the ``minLength`` keyword (None when absent) and
+    ``tests`` pairs each other keyword test with its message; ``op`` is how
+    an object's loop checks a value of this node.  An array node has its
+    ``items`` node.  An object node has ``steps``, one per property, as (key,
+    node, op, attribute, converter, walked, kept).  When a dataclass ``cls``
+    fills the node, the last four describe the field of that key: its name,
+    its emission converter, the node whose class a value of the field (an
+    item, for a tuple) is walked by, or None, and whether such a value keeps
+    its findings.
     """
-    expected = schema.get("type")
-    classes = _CLASSES.get(expected, object)
-    numeric = expected in ("integer", "number")  # a bool is never a number
-    members = frozenset(schema["enum"]) if "enum" in schema else None
-    tests = [make(schema[key]) for key, make in _TESTS.items() if key in schema]
-    walk = walk_value = None
-    if expected == "object":
-        walk, walk_value = _object_walks(schema, cls, tests)
-    if "items" in schema:
-        check_item, walk_item = _compile(schema["items"], cls, kept)
-        walk = _items_walk(check_item)
-        if walk_item is not None:
-            walk_value = _tuple_walk(walk_item, tests)
-    elif kept and walk_value is not None:
-        walk_fields = walk_value
-        _keep_findings(cls, lambda value: tuple(_findings(walk_fields, value)))
-        walk_value = _read_kept
 
-    def check(value: Any, path: Any, problems: list) -> None:
-        if not isinstance(value, classes) or (numeric and isinstance(value, bool)):
-            problems.append((path, f"expected {expected}"))
+    __slots__ = (
+        "mismatch", "classes", "numeric", "members", "min_length", "tests", "op", "items",
+        "cls", "steps", "keys", "required", "closed", "one_of",
+    )
+
+    def check(self, value: Any, path: Any, problems: list) -> None:
+        """Check ``value``, a tree, at this node."""
+        if not isinstance(value, self.classes) or (self.numeric and type(value) is bool):
+            problems.append((path, self.mismatch))
             return
-        if members is not None:
+        if self.members is not None:
             try:
-                known = value in members
+                known = value in self.members
             except TypeError:  # a list or a mapping is never a member
                 known = False
             if not known:
                 problems.append((path, f"value {value!r} not in enumeration"))
                 return
-        for test, message in tests:
+        if self.min_length is not None and len(value) < self.min_length:
+            problems.append((path, "string must be non-empty"))
+        for test, message in self.tests:
             if not test(value):
                 problems.append((path, message))
-        if walk is not None:
-            walk(value, path, problems)
+        if self.steps is not None:
+            self.walk(value, path, problems)
+        elif self.items is not None:
+            for i, item in enumerate(value):
+                self.items.check(item, (str(i), path), problems)
 
-    return check, walk_value
+    def walk(self, value: Any, path: Any, problems: list, fields: bool = False) -> None:
+        """Check the properties of a mapping at this object node or, with
+        ``fields``, the fields of a value of ``cls`` as its emitted tree's."""
+        if fields:
+            start = len(problems)
+            absent = []
+        else:
+            if not value.keys() >= self.required.keys():
+                for key in self.required:
+                    if key not in value:
+                        problems.append(((key, path), "required field missing"))
+            if self.closed and not value.keys() <= self.keys.keys():
+                for key in value:
+                    if key not in self.keys:
+                        problems.append(((key, path), "unknown field"))
+        for key, node, op, attr, convert, walked, kept in self.steps:
+            if not fields:
+                if key not in value:
+                    continue
+                item = value[key]
+            else:
+                item = getattr(value, attr)
+                if item is None:
+                    absent.append(key)
+                    continue
+                if walked is node:
+                    if type(item) is walked.cls:
+                        if not kept:
+                            walked.walk(item, (key, path), problems, True)
+                        elif item._k001:
+                            _rebase(item._k001, (key, path), problems)
+                        continue
+                elif walked is not None and type(item) is tuple:
+                    # Kept findings are read as the items' classes are checked:
+                    # an item of another class has the tuple emitted, and an
+                    # item before it raises here as emitting it would.
+                    cls, found = walked.cls, not kept
+                    for each in item:
+                        if type(each) is not cls:
+                            break
+                        if not found and each._k001:  # most kept items have no findings
+                            found = True
+                    else:
+                        if not item and key not in self.required:
+                            absent.append(key)  # as an optional empty list drops its key
+                            continue
+                        for test, message in node.tests:
+                            if not test(item):
+                                problems.append(((key, path), message))
+                        if found:
+                            here = (key, path)
+                            for i, each in enumerate(item):
+                                if not kept:
+                                    walked.walk(each, (str(i), here), problems, True)
+                                elif each._k001:
+                                    _rebase(each._k001, (str(i), here), problems)
+                        continue
+                if convert is _render_value:
+                    kind = type(item)
+                    if kind is EntityId:
+                        item = f"{item.prefix}:{item.local}"  # as ``EntityId.__str__``
+                    elif kind in _RENDERED:
+                        item = str(item)
+                elif convert is not None:
+                    item = convert(item)
+                    if item is None:
+                        absent.append(key)
+                        continue
+            # The value the tree holds at ``key``, checked as ``node.check`` would.
+            if op == _ENUM:
+                try:
+                    known = item in node.members
+                except TypeError:
+                    known = False
+                if not known:
+                    problems.append(((key, path), f"value {item!r} not in enumeration"))
+            elif op == _SCALAR:
+                if not isinstance(item, node.classes) or (node.numeric and type(item) is bool):
+                    problems.append(((key, path), node.mismatch))
+                    continue
+                if node.min_length is not None and len(item) < node.min_length:
+                    problems.append(((key, path), "string must be non-empty"))
+                for test, message in node.tests:
+                    if not test(item):
+                        problems.append(((key, path), message))
+            else:
+                node.check(item, (key, path), problems)
+        if not fields:
+            if self.one_of:
+                _alternatives(self.one_of, value, path, problems)
+        elif self.tests or self.one_of or not self.required.keys().isdisjoint(absent):
+            # The keys the emitted tree holds: its size and its required keys
+            # are checked before its fields, its alternatives after.
+            present = dict(self.keys)
+            for key in absent:
+                del present[key]
+            head: list = []
+            for test, message in self.tests:
+                if not test(present):
+                    head.append((path, message))
+            for key in self.required:
+                if key not in present:
+                    head.append(((key, path), "required field missing"))
+            problems[start:start] = head
+            if self.one_of:
+                _alternatives(self.one_of, present, path, problems)
 
 
-def _keep_findings(cls: type, findings: Callable[[Any], tuple[tuple[str, str], ...]]) -> None:
-    """Give ``cls`` the kept state ``_k001``: ``findings`` of a value, computed once.
+def _alternatives(one_of: tuple, value: Mapping[str, Any], path: Any, problems: list) -> None:
+    hits = 0
+    for needed, excluded in one_of:
+        hits += value.keys() >= needed and value.keys().isdisjoint(excluded)
+    if hits != 1:
+        problems.append((path, "exactly one alternative must hold"))
+
+
+def _rebase(findings: tuple[tuple[str, str], ...], path: Any, problems: list) -> None:
+    """Append kept ``findings``, each under ``path``."""
+    for key, message in findings:
+        problems.append(((key, path) if key else path, message))
+
+
+def _compile(schema: Mapping[str, Any], cls: Any = None, kept: bool = False) -> _Node:
+    """The node of ``schema``, which values of ``cls`` fill when it is a dataclass.
+
+    At a root field's node (``kept``), a value of ``cls`` keeps the findings of its walk.
+    """
+    node = _Node()
+    expected = schema.get("type")
+    node.mismatch = f"expected {expected}"
+    node.classes = _CLASSES.get(expected, object)
+    node.numeric = expected in ("integer", "number")  # a bool is never a number
+    node.members = frozenset(schema["enum"]) if "enum" in schema else None
+    node.min_length = schema.get("minLength")
+    node.tests = tuple(make(schema[key]) for key, make in _TESTS.items() if key in schema)
+    node.items = _compile(schema["items"], cls, kept) if "items" in schema else None
+    node.cls = cls if expected == "object" and is_dataclass(cls) else None
+    node.steps = None
+    if expected is None and node.members is not None and node.min_length is None and not node.tests:
+        node.op = _ENUM
+    elif expected in ("string", "integer", "number", "boolean") and node.members is None:
+        node.op = _SCALAR
+    else:
+        node.op = _OTHER
+    if expected == "object":
+        _compile_object(node, schema)
+        if kept and node.cls is not None:
+            _keep_findings(node)
+    return node
+
+
+def _compile_object(node: _Node, schema: Mapping[str, Any]) -> None:
+    """Give an object node its steps, and what it checks of a mapping's keys."""
+    cls = node.cls
+    slots = {slot.key: slot for slot in model.slots(cls)} if cls else {}
+    converters = {key: convert for _, key, convert in serialization._emit_steps(cls)} if cls else {}
+    steps = []
+    for key, sub in schema.get("properties", {}).items():
+        slot = slots.get(key)
+        child = _compile(sub, slot and slot.kind, cls is model.KnowsRecord)
+        walked = child.items if slot is not None and slot.many else child
+        if walked is None or walked.cls is None:
+            walked = None
+        kept = walked is not None and cls is model.KnowsRecord
+        attr = slot and slot.name
+        steps.append((key, child, child.op, attr, converters.get(key), walked, kept))
+    node.keys = dict.fromkeys(key for key, *_ in steps)
+    node.required = dict.fromkeys(schema.get("required", ()))
+    node.closed = schema.get("additionalProperties") is False
+    node.one_of = tuple(
+        (frozenset(b["required"]), frozenset(b.get("not", {}).get("required", ())))
+        for b in schema.get("oneOf", ())
+    )
+    if steps or node.required or node.closed or node.one_of:
+        node.steps = tuple(steps)
+
+
+def _keep_findings(node: _Node) -> None:
+    """Give ``node.cls`` the kept state ``_k001``: the findings of a value's walk, computed once.
 
     An item schema takes keywords from its field, so a class that kept its
     findings for two root fields could keep the wrong ones: each fills one.
     """
+    cls = node.cls
     if "_k001" in vars(cls):
         raise TypeError(f"{cls.__name__} fills more than one root field of KnowsRecord")
-    kept = cached_property(findings)
+    walk = partial(node.walk, fields=True)
+    kept = cached_property(lambda value: tuple(_findings(walk, value)))
     kept.__set_name__(cls, "_k001")
     cls._k001 = kept
-
-
-def _read_kept(value: Any, path: Any, problems: list) -> None:
-    """Append the findings ``value`` keeps, each under ``path``."""
-    for key, message in value._k001:
-        problems.append(((key, path) if key else path, message))
-
-
-def _adopter(cls: type, many: bool, walk_value: _Check) -> Callable[[Any], Optional[_Check]]:
-    """``walk_value`` for a field's value of exactly ``cls`` (if ``many``, a tuple of them), else None."""
-    if not many:
-        return lambda value: walk_value if type(value) is cls else None
-
-    def adopt(value: Any) -> Optional[_Check]:
-        if type(value) is not tuple:
-            return None
-        for item in value:
-            if type(item) is not cls:
-                return None
-        return walk_value
-
-    return adopt
-
-
-def _object_walks(schema: Mapping[str, Any], cls: Any, tests: list) -> tuple[_Check, Optional[_Check]]:
-    """The walk of an object node's mapping and, when ``cls`` is a dataclass, of its fields.
-
-    The second walks any value with the fields of ``cls``, checking each
-    field as soon as it is converted.
-    """
-    required = dict.fromkeys(schema.get("required", ()))
-    slots = model.slots(cls) if is_dataclass(cls) else ()
-    kinds = {slot.key: slot.kind for slot in slots}
-    nodes = {
-        key: _compile(sub, kinds.get(key), cls is model.KnowsRecord)
-        for key, sub in schema.get("properties", {}).items()
-    }
-    properties = {key: check for key, (check, _) in nodes.items()}
-    closed = schema.get("additionalProperties") is False
-    one_of = [
-        (frozenset(b["required"]), frozenset(b.get("not", {}).get("required", ())))
-        for b in schema.get("oneOf", ())
-    ]
-
-    def shape(value: Mapping[str, Any], path: Any, problems: list) -> None:
-        if not value.keys() >= required.keys():
-            for key in required:
-                if key not in value:
-                    problems.append(((key, path), "required field missing"))
-
-    def alternatives(value: Mapping[str, Any], path: Any, problems: list) -> None:
-        hits = 0
-        for needed, excluded in one_of:
-            hits += value.keys() >= needed and value.keys().isdisjoint(excluded)
-        if hits != 1:
-            problems.append((path, "exactly one alternative must hold"))
-
-    def walk(value: dict, path: Any, problems: list) -> None:
-        shape(value, path, problems)
-        if closed and not value.keys() <= properties.keys():
-            for key in value:
-                if key not in properties:
-                    problems.append(((key, path), "unknown field"))
-        for key, check in properties.items():
-            if key in value:
-                check(value[key], (key, path), problems)
-        if one_of:
-            alternatives(value, path, problems)
-
-    if not slots:
-        return walk, None
-    emit_steps = serialization._emit_steps(cls)
-    # Per field: (attribute, key, adopter or None, converter or None, check,
-    # whether an adopted empty tuple drops the key, as an optional empty list does).
-    steps = []
-    for (attr, key, convert), slot in zip(emit_steps, slots):
-        check, walk_value = nodes[key]
-        adopt = None if walk_value is None else _adopter(slot.kind, slot.many, walk_value)
-        steps.append((attr, key, adopt, convert, check, slot.many and not slot.required))
-    keys = [key for _, key, *_ in steps]
-
-    def walk_fields(value: Any, path: Any, problems: list) -> None:
-        start = len(problems)
-        absent = []
-        for attr, key, adopt, convert, check, drop_empty in steps:
-            field = getattr(value, attr)
-            if field is not None:
-                adopted = adopt and adopt(field)
-                if adopted is not None:
-                    check = adopted
-                    if drop_empty and not field:
-                        field = None
-                elif convert is not None:
-                    field = convert(field)
-            if field is None:
-                absent.append(key)
-            else:
-                check(field, (key, path), problems)
-        if tests or one_of or not required.keys().isdisjoint(absent):
-            # The keys the emitted tree holds: its size and its required keys
-            # are checked before its fields, its alternatives after.
-            present = dict.fromkeys(keys)
-            for key in absent:
-                del present[key]
-            head: list = []
-            for test, message in tests:
-                if not test(present):
-                    head.append((path, message))
-            shape(present, path, head)
-            problems[start:start] = head
-            if one_of:
-                alternatives(present, path, problems)
-
-    return walk, walk_fields
-
-
-def _tuple_walk(walk_item: _Check, tests: list) -> _Check:
-    """Check a tuple as its emitted list: each item by ``walk_item``."""
-    kept = walk_item is _read_kept
-
-    def walk(items: tuple, path: Any, problems: list) -> None:
-        for test, message in tests:
-            if not test(items):
-                problems.append((path, message))
-        for i, item in enumerate(items):
-            if not kept or item._k001:  # most kept items have no findings
-                walk_item(item, (str(i), path), problems)
-
-    return walk
-
-
-def _items_walk(check_item: _Check) -> _Check:
-    def walk(value: list, path: Any, problems: list) -> None:
-        for i, item in enumerate(value):
-            check_item(item, (str(i), path), problems)
-
-    return walk
 
 
 def _render(path: Any) -> Any:
@@ -346,19 +396,20 @@ def _render(path: Any) -> Any:
     return f"{rendered}/{key}" if rendered else key
 
 
-def _findings(check: _Check, value: Any) -> list[tuple[str, str]]:
+def _findings(walk: Callable[[Any, Any, list], None], value: Any) -> list[tuple[str, str]]:
     problems: list = []
-    check(value, None, problems)
+    walk(value, None, problems)
     return [(_render(path), message) for path, message in problems]
 
 
 def validator(schema: Mapping[str, Any]) -> Callable[[Any], list[tuple[str, str]]]:
     """Compile ``schema`` once: the result lists a value's violations as (path, message)."""
-    check, _ = _compile(schema)
+    check = _compile(schema).check
     return lambda value: _findings(check, value)
 
 
-_check_record, _walk_record = _compile(RECORD_SCHEMA, model.KnowsRecord)
+_RECORD = _compile(RECORD_SCHEMA, model.KnowsRecord)
+_check_record = _RECORD.check
 
 
 def validate_tree(tree: Any) -> list[tuple[str, str]]:
@@ -366,4 +417,4 @@ def validate_tree(tree: Any) -> list[tuple[str, str]]:
     return _findings(_check_record, tree)
 
 
-_keep_findings(model.KnowsRecord, lambda record: tuple(_findings(_walk_record, record)))
+_keep_findings(_RECORD)

@@ -211,14 +211,6 @@ BASES = [
 ] + [make_record(seed) for seed in range(4)]
 
 
-class _SubId(EntityId):
-    __slots__ = ()
-
-
-class _SubRef(Ref):
-    __slots__ = ()
-
-
 def _pools(record):
     """Kinds of value an ID or reference field may be set to, drawn from ``record``."""
     ids = [e.id for e, _ in record.entities()]
@@ -231,7 +223,6 @@ def _pools(record):
         [Ref(i) for i in parsed + missing],
         [Ref(i, record_id="10.9999/elsewhere") for i in parsed[:2] + missing],
         missing,
-        [_SubId(i.prefix, i.local) for i in parsed[:2]] + [_SubRef(i) for i in parsed[:2] + missing[:1]],
         [None, 7, "", "art:", "rep:pdf", ["rep:pdf"], {"b", "a"}],
     ]
 

@@ -336,6 +336,16 @@ class TestEntityLayout:
         assert any("representations" in path for _, path in expected)
         assert list(record.entities()) == expected
 
+    def test_model_classes_cannot_be_subclassed(self):
+        # Lint and K001 look a value's class up exactly, so no subclass reaches them.
+        classes = [
+            cls for cls in _package_dataclasses() if cls.__module__ == model.__name__ and cls is not model.Slot
+        ]
+        assert len(classes) == 25
+        for cls in classes:
+            with pytest.raises(TypeError, match=f"^model class {cls.__name__} cannot be subclassed$"):
+                type(f"Sub{cls.__name__}", (cls,), {})
+
     def test_as_ref(self):
         local = EntityId("stmt", "x")
         remote = Ref(local, record_id="rec")

@@ -170,7 +170,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             "baseline_required": answer.baseline_required,
         }
         print(json.dumps(payload, indent=2))
-    return EXIT_OK if answer.status in ("answer", "partial") else EXIT_FAIL
+    return EXIT_OK if answer.status == "answer" else EXIT_FAIL
 
 
 def cmd_graph(args: argparse.Namespace) -> int:

@@ -130,7 +130,7 @@ class CitationTrace:
 
 @dataclass(frozen=True, slots=True)
 class ComposedAnswer:
-    status: str  # answer | partial | abstain | not_found
+    status: str  # answer | abstain | not_found
     text: str
     confidence: float
     trace: CitationTrace

@@ -99,7 +99,7 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
     Local references resolve within ``home``; remote references first resolve
     their record_id in the registry.
     """
-    ref = parse_ref(ref) if isinstance(ref, str) else as_ref(ref)
+    ref = as_ref(ref) or parse_ref(ref)
     record_id = ref.record_id if ref.is_remote else home
     record = registry.get(record_id)
     if record is None:
@@ -118,13 +118,14 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
 def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     """All entities as nodes; all relations as qualified edges, each with its predicate.
 
-    A node's key is its record_id and the ID its record's walk rendered; the first entity
-    to declare a key is its node.  Edges are indexed by node, each endpoint key rendered
-    once, for :func:`trace`.  Their endpoints and relation IDs are the node objects of their
-    keys, one :class:`QualifiedId` per node, save where a record_id renders as another does
-    (None as "None").  Unresolved remote endpoints become dangling placeholder nodes so
-    partial registries remain traversable.  A relation with an unparseable id or endpoint,
-    or a predicate that is not a string, is left out; lint reports it (K001, K002).
+    A node is named by its key, its rendered record_id and rendered entity ID (the ID its
+    record's walk rendered), and the first entity to declare a key is its node: records
+    whose record_ids render alike (None and "None") share nodes.  Every edge's endpoints
+    and relation ID are the node objects of their keys, one :class:`QualifiedId` per node.
+    Edges are indexed by node, each endpoint key rendered once, for :func:`trace`.
+    Unresolved remote endpoints become dangling placeholder nodes so partial registries
+    remain traversable.  A relation with an unparseable id or endpoint, or a predicate
+    that is not a string, is left out; lint reports it (K001, K002).
     """
     nodes: dict[str, QualifiedId] = {}
     for record in records:
@@ -155,14 +156,10 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
                 if q is None:
                     q = nodes[key] = QualifiedId(rid, entity)
                     dangling.append(q)
-                elif q.record_id != rid:
-                    q = QualifiedId(rid, entity)
                 ends.append((key, q))
             if len(ends) == 2 and isinstance(rel.id, EntityId) and isinstance(rel.predicate, str):
                 (subject_key, subject), (object_key, obj) = ends
                 relation_id = nodes[f"{home}#{rel.id.prefix}:{rel.id.local}"]
-                if relation_id.record_id != home:
-                    relation_id = QualifiedId(home, rel.id)
                 edges.append(Edge(subject, rel.predicate, obj, relation_id))
                 subject_keys.append(subject_key)
                 object_keys.append(object_key)

@@ -317,11 +317,8 @@ def _rebase(findings: tuple[tuple[str, str], ...], path: Any, problems: list) ->
         problems.append(((key, path) if key else path, message))
 
 
-def _compile(schema: Mapping[str, Any], cls: Any = None, kept: bool = False) -> _Node:
-    """The node of ``schema``, which values of ``cls`` fill when it is a dataclass.
-
-    At a root field's node (``kept``), a value of ``cls`` keeps the findings of its walk.
-    """
+def _compile(schema: Mapping[str, Any], cls: Any = None) -> _Node:
+    """The node of ``schema``, which values of ``cls`` fill when it is a dataclass."""
     node = _Node()
     expected = schema.get("type")
     node.mismatch = f"expected {expected}"
@@ -330,7 +327,7 @@ def _compile(schema: Mapping[str, Any], cls: Any = None, kept: bool = False) -> 
     node.members = frozenset(schema["enum"]) if "enum" in schema else None
     node.min_length = schema.get("minLength")
     node.tests = tuple(make(schema[key]) for key, make in _TESTS.items() if key in schema)
-    node.items = _compile(schema["items"], cls, kept) if "items" in schema else None
+    node.items = _compile(schema["items"], cls) if "items" in schema else None
     node.cls = cls if expected == "object" and is_dataclass(cls) else None
     node.steps = None
     if expected is None and node.members is not None and node.min_length is None and not node.tests:
@@ -341,8 +338,6 @@ def _compile(schema: Mapping[str, Any], cls: Any = None, kept: bool = False) -> 
         node.op = _OTHER
     if expected == "object":
         _compile_object(node, schema)
-        if kept and node.cls is not None:
-            _keep_findings(node)
     return node
 
 
@@ -354,11 +349,13 @@ def _compile_object(node: _Node, schema: Mapping[str, Any]) -> None:
     steps = []
     for key, sub in schema.get("properties", {}).items():
         slot = slots.get(key)
-        child = _compile(sub, slot and slot.kind, cls is model.KnowsRecord)
+        child = _compile(sub, slot and slot.kind)
         walked = child.items if slot is not None and slot.many else child
         if walked is None or walked.cls is None:
             walked = None
         kept = walked is not None and cls is model.KnowsRecord
+        if kept:  # a root field's value keeps the findings of its walk
+            _keep_findings(walked)
         attr = slot and slot.name
         steps.append((key, child, child.op, attr, converters.get(key), walked, kept))
     node.keys = dict.fromkeys(key for key, *_ in steps)

@@ -7,6 +7,7 @@ from helpers import FIXTURES, make_record
 from knows_sidecar.errors import (
     ClassMismatchError,
     CycleDetectedError,
+    MalformedError,
     TypeMismatchError,
     UnknownEntityError,
     UnknownRecordError,
@@ -74,6 +75,20 @@ class TestResolve:
         registry = Registry([mismatched])
         with pytest.raises(ClassMismatchError):
             resolve("stmt:odd", mismatched.record_id, registry)
+
+    @pytest.mark.parametrize("value", [5, None, ["x"]])
+    def test_a_value_that_is_no_reference_is_refused(self, value):
+        with pytest.raises(MalformedError, match="reference must be a string"):
+            resolve(value, self.home, self.registry)
+
+    def test_a_string_an_entity_id_and_a_ref_resolve_alike(self):
+        claim, paper, other = EntityId("stmt", "claim-0"), EntityId("art", "paper"), self.records[1].record_id
+        for values, expected in [
+            (("stmt:claim-0", claim, Ref(claim)), QualifiedId(self.home, claim)),
+            ((f"{other}#art:paper", Ref(paper, record_id=other)), QualifiedId(other, paper)),
+        ]:
+            got = [resolve(value, self.home, self.registry) for value in values]
+            assert all(qid == expected and entity is got[0][1] for qid, entity in got)
 
 
 class TestRegistry:

@@ -1,19 +1,23 @@
 """``build_graph`` against a plain copy of its earlier self, and the sharing it keeps.
 
-``build_graph`` takes each node key from the record walk's rendered IDs and
-gives every edge the node objects of its endpoints and relation ID.  The
+A node is named by its rendered record_id and rendered entity ID, so records
+whose record_ids render alike (``None`` and ``"None"``) share nodes, and every
+edge's endpoints and relation ID are the node objects of their keys.
+``build_graph`` takes each node key from the record walk's rendered IDs.  The
 reference below is the earlier version, which rendered each key through
-``QualifiedId.__str__`` and made a fresh ``QualifiedId`` for every endpoint
-and relation ID.  On registries of generated records edited in memory
+``QualifiedId.__str__``, and takes each endpoint and relation ID from the
+nodes by that key.  On registries of generated records edited in memory
 (repeated IDs within a record and across records that share a record_id,
 unparseable entity IDs, local references to absent entities, remote ones to
 present and absent records, raw-string and ``None`` endpoints, relation IDs
 that are no ``EntityId``, predicates that are no string, and the record_ids
 ``None`` and ``"None"``, which render alike) the two give equal nodes, edges
 and dangling placeholders in the same order, the same index, and the same
-trace from every node.  ``export_edge_list`` is checked against its earlier
-self the same way, and on a graph built by hand with predicates that are no
-string.
+trace from every node.  On those registries, on the graph-contract corpus and
+on two records whose record_ids render alike, every edge end ``build_graph``
+gives is an object of its nodes.  ``export_edge_list`` is checked against its
+earlier self the same way, and on a graph built by hand with predicates that
+are no string.
 """
 
 from dataclasses import replace
@@ -61,7 +65,7 @@ def reference_build_graph(records: list[KnowsRecord]) -> RelationGraph:
                 if key not in nodes:
                     nodes[key] = q
                     dangling.append(q)
-                endpoints.append((key, q))
+                endpoints.append((key, nodes[key]))
             if (
                 endpoints is None
                 or not isinstance(rel.id, EntityId)
@@ -74,7 +78,7 @@ def reference_build_graph(records: list[KnowsRecord]) -> RelationGraph:
                     subject=subject,
                     predicate=rel.predicate,
                     object=obj,
-                    relation_id=QualifiedId(record.record_id, rel.id),
+                    relation_id=nodes[str(QualifiedId(record.record_id, rel.id))],
                 )
             )
             subject_keys.append(subject_key)
@@ -92,6 +96,12 @@ def reference_export_edge_list(graph: RelationGraph) -> str:
     ):
         lines.append(f"{edge.subject}\t{edge.predicate}\t{edge.object}\t{edge.relation_id}")
     return "\n".join(lines)
+
+
+def ends_off_the_nodes(graph):
+    """The edge subjects, objects and relation IDs that are no object of ``graph.nodes``."""
+    nodes = {id(q) for q in graph.nodes}
+    return [q for e in graph.edges for q in (e.subject, e.object, e.relation_id) if id(q) not in nodes]
 
 
 def assert_agrees(records):
@@ -179,6 +189,13 @@ def test_build_graph_agrees_with_the_reference(specs):
     assert_agrees([_record(*spec) for spec in specs])
 
 
+@settings(deadline=None, max_examples=max(200, settings.default.max_examples))
+@given(st.lists(record_specs, min_size=1, max_size=4))
+@example([(0, None, [], "repeat"), (1, "None", [_relation(PAPER, Ref(PAPER, record_id="None"))], "none")])
+def test_every_edge_end_is_a_node_of_a_generated_registry(specs):
+    assert ends_off_the_nodes(build_graph([_record(*spec) for spec in specs])) == []
+
+
 def test_a_dropped_relation_leaves_its_parsed_endpoints_dangling():
     graph = build_graph([_record(0, "r-a", DROPPED, "none")])
     assert [str(q) for q in graph.dangling] == [
@@ -227,3 +244,15 @@ def test_edges_share_the_node_objects(name):
     reachable = {id(q) for q in graph.nodes + graph.dangling}
     reachable.update(id(q) for edge in graph.edges for q in (edge.subject, edge.object, edge.relation_id))
     assert len(reachable) == len(graph.nodes)
+
+
+def _alike_record_ids():
+    """``make_record(0)`` under record_id None beside ``make_record(1)`` under "None"."""
+    return [replace(make_record(0), record_id=None), replace(make_record(1), record_id="None")]
+
+
+@pytest.mark.parametrize("records", [_corpus, _alike_record_ids], ids=["corpus", "alike_record_ids"])
+def test_every_edge_end_is_a_node(records):
+    graph = build_graph(records())
+    assert graph.edges
+    assert ends_off_the_nodes(graph) == []

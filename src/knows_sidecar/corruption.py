@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .errors import NotApplicableError
 from .linter import lint
-from .model import Confidence, EntityId, KnowsRecord, Observation, Statement, as_ref
+from .model import Confidence, EntityId, KnowsRecord, Observation, Statement, as_ref, shown
 
 
 class InjectionKind(str, Enum):
@@ -85,7 +85,7 @@ def _wrong_number(record: KnowsRecord, target: tuple[int, int]) -> tuple[str, Kn
         replace(e, observations=observations) if k == i else e
         for k, e in enumerate(record.evidence)
     )
-    return f"{ev.id}/observations/{j}", replace(record, evidence=evidence)
+    return f"{shown(ev.id, str)}/observations/{j}", replace(record, evidence=evidence)
 
 
 def _inflate_confidence(record: KnowsRecord, i: int) -> tuple[str, KnowsRecord]:
@@ -98,7 +98,7 @@ def _inflate_confidence(record: KnowsRecord, i: int) -> tuple[str, KnowsRecord]:
         replace(s, confidence=new_conf) if k == i else s
         for k, s in enumerate(record.statements)
     )
-    return str(stmt.id), replace(record, statements=statements)
+    return shown(stmt.id, str), replace(record, statements=statements)
 
 
 # Per kind: the record's targets, the corruption of one target (its label and

@@ -13,18 +13,21 @@ from .errors import (
     UnknownEntityError,
     UnknownRecordError,
 )
-from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, as_ref, parse_ref
+from .model import ENTITY_CLASS, EntityId, KnowsRecord, Ref, as_ref, parse_ref, shown
 
 
 @dataclass(frozen=True, slots=True)
 class QualifiedId:
-    """Registry-stable entity name, rendered ``record_id#prefix:local``."""
+    """Registry-stable entity name, rendered ``record_id#prefix:local``; a record_id that
+    is not a string renders as ``model.shown`` shows it."""
 
     record_id: str
     entity_id: EntityId
 
     def __str__(self) -> str:
-        return f"{self.record_id}#{self.entity_id}"
+        if type(self.record_id) is str:
+            return f"{self.record_id}#{self.entity_id}"
+        return f"{shown(self.record_id, str)}#{self.entity_id}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,11 +121,12 @@ def resolve(ref: Ref | EntityId | str, home: str, registry: Registry) -> tuple[Q
 def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     """All entities as nodes; all relations as qualified edges, each with its predicate.
 
-    A node is named by its key, its rendered record_id and rendered entity ID (the ID its
-    record's walk rendered), and the first entity to declare a key is its node: records
-    whose record_ids render alike (None and "None") share nodes.  Every edge's endpoints
-    and relation ID are the node objects of their keys, one :class:`QualifiedId` per node.
-    Edges are indexed by node, each endpoint key rendered once, for :func:`trace`.
+    A node is named by its key, its rendered record_id (as :class:`QualifiedId` renders
+    it, once per record) and rendered entity ID (the ID its record's walk rendered), and
+    the first entity to declare a key is its node: records whose record_ids render alike
+    (None and "None") share nodes.  Every edge's endpoints and relation ID are the node
+    objects of their keys, one :class:`QualifiedId` per node.  Edges are indexed by node,
+    each endpoint key rendered once, for :func:`trace`.
     Unresolved remote endpoints become dangling placeholder nodes so partial registries
     remain traversable.  A relation with an unparseable id or endpoint, or a predicate
     that is not a string, is left out; lint reports it (K001, K002).
@@ -130,8 +134,9 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     nodes: dict[str, QualifiedId] = {}
     for record in records:
         home, (pairs, _, ids, _) = record.record_id, record._walk
+        label = home if type(home) is str else shown(home, str)
         for (entity, _), rendered in zip(pairs, ids):
-            key = f"{home}#{rendered}"
+            key = f"{label}#{rendered}"
             if key not in nodes and isinstance(entity.id, EntityId):
                 nodes[key] = QualifiedId(home, entity.id)
 
@@ -141,17 +146,20 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
     object_keys: list[str] = []
     for record in records:
         home = record.record_id
+        label = home if type(home) is str else shown(home, str)
         for rel in record.relations:
             ends = []
             for ref in (rel.subject_ref, rel.object_ref):
                 if isinstance(ref, EntityId):
-                    rid, entity = home, ref
+                    rid, name, entity = home, label, ref
                 elif isinstance(ref, Ref):
-                    rid, entity = (home if ref.record_id is None else ref.record_id), ref.entity
+                    rid, name, entity = home, label, ref.entity
+                    if ref.record_id is not None:
+                        rid = name = ref.record_id
                 else:
                     break
                 # As EntityId.__str__ renders it, which the walk's IDs are.
-                key = f"{rid}#{entity.prefix}:{entity.local}"
+                key = f"{name}#{entity.prefix}:{entity.local}"
                 q = nodes.get(key)
                 if q is None:
                     q = nodes[key] = QualifiedId(rid, entity)
@@ -159,7 +167,7 @@ def build_graph(records: list[KnowsRecord]) -> RelationGraph:
                 ends.append((key, q))
             if len(ends) == 2 and isinstance(rel.id, EntityId) and isinstance(rel.predicate, str):
                 (subject_key, subject), (object_key, obj) = ends
-                relation_id = nodes[f"{home}#{rel.id.prefix}:{rel.id.local}"]
+                relation_id = nodes[f"{label}#{rel.id.prefix}:{rel.id.local}"]
                 edges.append(Edge(subject, rel.predicate, obj, relation_id))
                 subject_keys.append(subject_key)
                 object_keys.append(object_key)

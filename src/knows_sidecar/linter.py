@@ -270,9 +270,8 @@ def check_url_liveness(
         for (path, url), status in zip(targets, statuses):
             if status is None or not (200 <= status < 400):
                 mk = _err if as_errors else _warn
-                findings.append(
-                    mk(LintCode.URL_LIVENESS, path, f"url {url} is not live (status {status})")
-                )
+                message = f"url {shown(url, str)} is not live (status {status})"
+                findings.append(mk(LintCode.URL_LIVENESS, path, message))
     return findings
 
 

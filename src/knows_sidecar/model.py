@@ -153,6 +153,11 @@ def shown(value: Any, show: Callable[[Any], str] = repr, outer: Optional[set] = 
     return text
 
 
+def as_text(value: Any) -> str:
+    """``str(value)`` as :func:`shown` words it, so a loaded value reads alike on every run."""
+    return shown(value, str)
+
+
 # ---------------------------------------------------------------------------
 # Identifiers and references
 
@@ -513,8 +518,8 @@ ENTITY_CLASS = {
 
 @dataclass(frozen=True)
 class VersionTriple(_Sealed):
-    spec: SpecVersion = _meta(pattern=_SEMVER_PATTERN, emit=str)
-    record: str = _meta(minLength=1, load=str)
+    spec: SpecVersion = _meta(pattern=_SEMVER_PATTERN, emit=as_text)
+    record: str = _meta(minLength=1, load=as_text)
     source: str = _meta(minLength=1)
 
 

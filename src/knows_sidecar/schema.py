@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Mapping
 
 from . import model, serialization
-from .model import EntityId, is_timestamp
+from .model import is_timestamp, shown
 
 _JSON_TYPES = {
     str: "string",
@@ -85,12 +85,15 @@ RECORD_SCHEMA: dict[str, Any] = {"$id": model.SCHEMA_URI, **object_schema(model.
 # ---------------------------------------------------------------------------
 # Compiler for the schema subset above.  Each node compiles once, at import,
 # into a ``_Node``; an object node holds a step table, one step per property
-# in schema order.  A check appends (path, message) pairs, where ``path`` is a
-# (key, parent) chain, None at the root, rendered only at the end.  One loop
-# per object checks each leaf value inline and calls a node's ``check`` only
-# to descend into a nested object or array, so it builds a path only for a
+# in schema order, each compiled to one of two operations.  A leaf (a node
+# with neither properties nor items) is checked inline by the object's loop,
+# as ``_Node.check`` checks it and in the same order; a nested node is handed
+# to its ``check``, which descends into the object or array.  A check appends
+# (path, message) pairs, where ``path`` is a (key, parent) chain, None at the
+# root, rendered only at the end, so the loop builds a path only for a
 # finding or for a value it descends into.  A value of the wrong type or
-# outside the enumeration gets no further checks.
+# outside the enumeration gets no further checks; the enumeration's message
+# shows the value with ``model.shown``.
 #
 # An object node that a model dataclass fills also walks a value of that
 # class: the same loop checks its fields as it checks the value's emitted
@@ -142,24 +145,17 @@ _TESTS = {
     "minProperties": lambda n: (lambda v: len(v) >= n, "at least one field required"),
 }
 
-# How an object's loop checks a property's value: by its enumeration alone, by
-# its type and keyword tests, or by the node's ``check`` (objects, arrays and
-# any other combination of keywords).
-_ENUM, _SCALAR, _OTHER = range(3)
-
-# The emission converter of the values written as strings, and their classes.
-_render_value = serialization._render
-_RENDERED = frozenset(model.STRING_PARSERS)
-
 
 class _Node:
     """One compiled schema node.
 
     ``min_length`` is the ``minLength`` keyword (None when absent) and
-    ``tests`` pairs each other keyword test with its message; ``op`` is how
-    an object's loop checks a value of this node.  An array node has its
-    ``items`` node.  An object node has ``steps``, one per property, as (key,
-    node, op, attribute, converter, walked, kept).  When a dataclass ``cls``
+    ``tests`` pairs each other keyword test with its message.  An array node
+    has its ``items`` node.  An object node has ``steps``, one per property,
+    as (key, node, leaf, attribute, converter, walked, kept): ``leaf`` is the
+    property's operation, true when its node has neither steps nor items, so
+    that an object's loop checks the value inline, and false when the loop
+    calls the node's ``check`` to descend.  When a dataclass ``cls``
     fills the node, the last four describe the field of that key: its name,
     its emission converter, the node whose class a value of the field (an
     item, for a tuple) is walked by, or None, and whether such a value keeps
@@ -167,7 +163,7 @@ class _Node:
     """
 
     __slots__ = (
-        "mismatch", "classes", "numeric", "members", "min_length", "tests", "op", "items",
+        "mismatch", "classes", "numeric", "members", "min_length", "tests", "items",
         "cls", "steps", "keys", "required", "closed", "one_of",
     )
 
@@ -182,7 +178,7 @@ class _Node:
             except TypeError:  # a list or a mapping is never a member
                 known = False
             if not known:
-                problems.append((path, f"value {value!r} not in enumeration"))
+                problems.append((path, f"value {shown(value)} not in enumeration"))
                 return
         if self.min_length is not None and len(value) < self.min_length:
             problems.append((path, "string must be non-empty"))
@@ -210,7 +206,7 @@ class _Node:
                 for key in value:
                     if key not in self.keys:
                         problems.append(((key, path), "unknown field"))
-        for key, node, op, attr, convert, walked, kept in self.steps:
+        for key, node, leaf, attr, convert, walked, kept in self.steps:
             if not fields:
                 if key not in value:
                     continue
@@ -252,29 +248,24 @@ class _Node:
                                 elif each._k001:
                                     _rebase(each._k001, (str(i), here), problems)
                         continue
-                if convert is _render_value:
-                    kind = type(item)
-                    if kind is EntityId:
-                        item = f"{item.prefix}:{item.local}"  # as ``EntityId.__str__``
-                    elif kind in _RENDERED:
-                        item = str(item)
-                elif convert is not None:
+                if convert is not None:
                     item = convert(item)
                     if item is None:
                         absent.append(key)
                         continue
-            # The value the tree holds at ``key``, checked as ``node.check`` would.
-            if op == _ENUM:
-                try:
-                    known = item in node.members
-                except TypeError:
-                    known = False
-                if not known:
-                    problems.append(((key, path), f"value {item!r} not in enumeration"))
-            elif op == _SCALAR:
+            # The value the tree holds at ``key``: a leaf checked as ``node.check`` checks one.
+            if leaf:
                 if not isinstance(item, node.classes) or (node.numeric and type(item) is bool):
                     problems.append(((key, path), node.mismatch))
                     continue
+                if node.members is not None:
+                    try:
+                        known = item in node.members
+                    except TypeError:
+                        known = False
+                    if not known:
+                        problems.append(((key, path), f"value {shown(item)} not in enumeration"))
+                        continue
                 if node.min_length is not None and len(item) < node.min_length:
                     problems.append(((key, path), "string must be non-empty"))
                 for test, message in node.tests:
@@ -330,12 +321,6 @@ def _compile(schema: Mapping[str, Any], cls: Any = None) -> _Node:
     node.items = _compile(schema["items"], cls) if "items" in schema else None
     node.cls = cls if expected == "object" and is_dataclass(cls) else None
     node.steps = None
-    if expected is None and node.members is not None and node.min_length is None and not node.tests:
-        node.op = _ENUM
-    elif expected in ("string", "integer", "number", "boolean") and node.members is None:
-        node.op = _SCALAR
-    else:
-        node.op = _OTHER
     if expected == "object":
         _compile_object(node, schema)
     return node
@@ -357,7 +342,8 @@ def _compile_object(node: _Node, schema: Mapping[str, Any]) -> None:
         if kept:  # a root field's value keeps the findings of its walk
             _keep_findings(walked)
         attr = slot and slot.name
-        steps.append((key, child, child.op, attr, converters.get(key), walked, kept))
+        leaf = child.steps is None and child.items is None
+        steps.append((key, child, leaf, attr, converters.get(key), walked, kept))
     node.keys = dict.fromkeys(key for key, *_ in steps)
     node.required = dict.fromkeys(schema.get("required", ()))
     node.closed = schema.get("additionalProperties") is False

@@ -50,6 +50,29 @@ DEEP_DOC = (
     + "\n"
 )
 
+# The moore fixture with one value a list 3,000 deep, which loads but is
+# deeper than Python's recursion limit (and the one Hypothesis raises it to
+# while a test runs), by the field that holds it.
+_DEEP_LIST = b"[" * 3000 + b"]" * 3000
+DEEP_VALUE_DOCS = {
+    field: (FIXTURES / "moore.knows.yaml").read_bytes().replace(old, head + _DEEP_LIST + tail, 1)
+    for field, old, head, tail in (
+        ("role", b"role: subject", b"role: ", b""),
+        ("version.spec", b"spec: 0.9.0", b"spec: ", b""),
+        ("version.record", b"record: '1'", b"record: ", b""),
+        ("record_id", b"record_id: moore-1965", b"record_id: ", b""),
+        ("evidence id", b"id: ev:density-trend", b"id: ", b""),
+        ("url locator", b"{type: path, value: 'moore1965.pdf'}", b"{type: url, value: ", b"}"),
+    )
+}
+
+# The moore fixture with a ``!!set`` as a statement's status and as its record version.
+SET_VALUES_DOC = (
+    (FIXTURES / "moore.knows.yaml").read_bytes()
+    .replace(b"status: asserted", b"status: !!set {alpha, beta, gamma, delta}", 1)
+    .replace(b"record: '1'", b"record: !!set {alpha, beta, gamma, delta}", 1)
+)
+
 # The bloom fixture with a claim strength that is a list, not a string.
 LIST_CLAIM_STRENGTH_DOC = (FIXTURES / "bloom.knows.yaml").read_bytes().replace(
     b"\nstatements:\n  - ",

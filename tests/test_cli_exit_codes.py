@@ -3,10 +3,11 @@
 ``knows`` exits 0 on success, 1 on a failed check or answer, 2 on a usage
 error and 3 on an I/O or parse error (the ``cli`` docstring).  Hypothesis draws
 a command (``lint``, ``query`` in both modes, ``project --tokens --out``,
-``graph`` with a seed and a depth or with ``--chain``, ``audit --corpus`` or
-``audit --matched``) and the file it reads: a document of the robustness
+``graph`` alone, with a seed and a depth or with ``--chain``, ``audit --corpus``
+or ``audit --matched``) and the file it reads: a document of the robustness
 mutation strategy, or raw bytes that are not UTF-8, empty, or nested 5,000
-deep.  ``cli.main`` returns 0-3 and raises nothing but argparse's usage exit.
+deep; examples add record files with one value nested 3,000 deep.
+``cli.main`` returns 0-3 and raises nothing but argparse's usage exit.
 A record file that ``load_record`` rejects gives 3; one it accepts never
 does, every output path being writable, unless the record cannot be emitted
 (``project``).
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import FIXTURES
+from helpers import DEEP_VALUE_DOCS, FIXTURES
 from knows_sidecar import cli
 from knows_sidecar.errors import KnowsError
 from knows_sidecar.projection import emit_projections
@@ -51,6 +52,7 @@ commands = st.one_of(
         lambda mode: ["query", "{file}", "cost per component", "--mode", mode, "--passages", PAGES]
     ),
     st.just(["project", "{file}", "--tokens", "--out", "{out}"]),
+    st.just(["graph", "{file}"]),
     st.tuples(st.sampled_from(["art:paper", "stmt:scaling", "ev:absent"]), st.integers(-2, 3)).map(
         lambda s: ["graph", "{file}", "--seed", s[0], "--depth", str(s[1])]
     ),
@@ -98,6 +100,12 @@ def _expected(argv, data: bytes) -> set[int]:
 @example(["query", "{file}", "q", "--mode", "only", "--passages", PAGES], NON_STRING_RECORD_ID)
 @example(["graph", "{file}", "--seed", "art:paper", "--depth", "2"], NON_STRING_RECORD_ID)
 @example(["graph", "{file}", "--chain", "10.9999/absent"], MOORE)
+@example(["lint", "{file}"], DEEP_VALUE_DOCS["role"])
+@example(["lint", "{file}"], DEEP_VALUE_DOCS["version.record"])
+@example(["project", "{file}", "--tokens", "--out", "{out}"], DEEP_VALUE_DOCS["version.spec"])
+@example(["audit", "--corpus", "{dir}"], DEEP_VALUE_DOCS["version.spec"])
+@example(["audit", "--corpus", "{dir}"], DEEP_VALUE_DOCS["evidence id"])
+@example(["graph", "{file}"], DEEP_VALUE_DOCS["record_id"])
 def test_exit_code_follows_the_contract(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp, "corpus")

@@ -26,14 +26,27 @@ The default profile runs a modest number of examples.  For a long run:
 
 import copy
 import datetime
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ALIAS_DOCS, DEEP_DOC, FIXTURES, LIST_CLAIM_STRENGTH_DOC, RECORD_ORACLE, make_record
+from helpers import (
+    ALIAS_DOCS,
+    DEEP_DOC,
+    DEEP_VALUE_DOCS,
+    FIXTURES,
+    LIST_CLAIM_STRENGTH_DOC,
+    RECORD_ORACLE,
+    SET_VALUES_DOC,
+    make_record,
+)
 from knows_sidecar import model, schema, serialization
 from knows_sidecar.consumer import Query, SidecarCache, consume, page_file_provider
 from knows_sidecar.corruption import run_study
@@ -162,7 +175,7 @@ def _registry_stages(record):
     registry = Registry([record])
     for entity, _ in record.entities():
         try:
-            resolve(str(entity.id), record.record_id, registry)
+            resolve(entity.id, record.record_id, registry)
         except KnowsError:
             pass
     cache = SidecarCache()
@@ -187,6 +200,11 @@ def _study_stage(record):
 @settings(deadline=None)
 @given(mutated_documents())
 @example(LIST_CLAIM_STRENGTH_DOC)
+@example(DEEP_VALUE_DOCS["role"])
+@example(DEEP_VALUE_DOCS["version.spec"])
+@example(DEEP_VALUE_DOCS["version.record"])
+@example(DEEP_VALUE_DOCS["record_id"])
+@example(DEEP_VALUE_DOCS["evidence id"])
 def test_stages_fail_only_with_knows_errors(doc):
     try:
         record, _ = load_record(doc)
@@ -198,6 +216,34 @@ def test_stages_fail_only_with_knows_errors(doc):
             stage(record)
         except KnowsError:
             pass
+
+
+def test_set_values_lint_and_emit_alike_under_every_hash_seed():
+    # A set iterates in an order that string hashing decides, so a message or a
+    # string that showed one as it iterates would change with PYTHONHASHSEED.
+    script = (
+        "import sys\n"
+        "from knows_sidecar.linter import lint\n"
+        "from knows_sidecar.serialization import emit_record, load_record\n"
+        "record, _ = load_record(sys.stdin.buffer.read())\n"
+        "print(lint(record).findings, flush=True)\n"
+        "sys.stdout.buffer.write(emit_record(record))\n"
+    )
+    src = str(Path(serialization.__file__).parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            input=SET_VALUES_DOC,
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+        ).stdout
+        for seed in (1, 2)
+    }
+    assert len(outputs) == 1
+    output = outputs.pop()
+    assert b"value {'alpha', 'beta', 'delta', 'gamma'} not in enumeration" in output
+    assert b"record: '{''alpha'', ''beta'', ''delta'', ''gamma''}'" in output
 
 
 def _parsed_tree(doc):

@@ -4,7 +4,7 @@ from dataclasses import is_dataclass, replace
 import pytest
 import yaml
 
-from helpers import FIXTURES, RECORD_ORACLE, make_record
+from helpers import DEEP_VALUE_DOCS, FIXTURES, RECORD_ORACLE, make_record
 from knows_sidecar import linter, model, schema, serialization
 from knows_sidecar.graph import Registry, resolve
 from knows_sidecar.linter import (
@@ -425,6 +425,15 @@ def test_liveness_warning_by_default():
     findings = check_url_liveness(record, fetcher=lambda url: 404)
     assert findings
     assert all(f.severity == "warning" for f in findings)
+
+
+def test_liveness_message_shows_a_deep_url_within_bounds():
+    record, _ = load_record(DEEP_VALUE_DOCS["url locator"])
+    (finding,) = findings_with(lint(record, fetcher=lambda url: 404), LintCode.URL_LIVENESS)
+    assert finding.path == "artifacts/0/representations/0/locator"
+    assert finding.message.startswith("url [[[")
+    assert finding.message.endswith("]]] is not live (status 404)")
+    assert "..." in finding.message
 
 
 def test_liveness_errors_flag():

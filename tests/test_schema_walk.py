@@ -93,7 +93,7 @@ def _compile(schema: Mapping[str, Any], cls: Any = None) -> tuple[_Check, Option
             except TypeError:  # a list or a mapping is never a member
                 known = False
             if not known:
-                problems.append((path, f"value {value!r} not in enumeration"))
+                problems.append((path, f"value {shown(value)} not in enumeration"))
                 return
         for test, message in tests:
             if not test(value):

@@ -10,13 +10,13 @@ uniform under a caller-supplied seed so studies replay exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import NotApplicableError
 from .linter import lint
-from .model import Confidence, EntityId, KnowsRecord, Observation, Statement, as_ref, shown
+from .model import Confidence, EntityId, KnowsRecord, Observation, Statement, as_ref, replaced, shown
 
 
 class InjectionKind(str, Enum):
@@ -70,22 +70,22 @@ def _confidence_targets(record: KnowsRecord) -> list[int]:
 
 def _omit_limitation(record: KnowsRecord, victim: Statement) -> tuple[str, KnowsRecord]:
     statements = tuple(s for s in record.statements if s is not victim)
-    return str(victim.id), replace(record, statements=statements)
+    return str(victim.id), replaced(record, statements=statements)
 
 
 def _wrong_number(record: KnowsRecord, target: tuple[int, int]) -> tuple[str, KnowsRecord]:
     i, j = target
     ev = record.evidence[i]
     obs = ev.observations[j]
-    new_obs = replace(obs, value=obs.value * 2 + 1)
+    new_obs = Observation(obs.metric, obs.value * 2 + 1, obs.unit, obs.qualitative_value)
     observations = tuple(
         new_obs if k == j else o for k, o in enumerate(ev.observations)
     )
     evidence = tuple(
-        replace(e, observations=observations) if k == i else e
+        replaced(e, observations=observations) if k == i else e
         for k, e in enumerate(record.evidence)
     )
-    return f"{shown(ev.id, str)}/observations/{j}", replace(record, evidence=evidence)
+    return f"{shown(ev.id, str)}/observations/{j}", replaced(record, evidence=evidence)
 
 
 def _inflate_confidence(record: KnowsRecord, i: int) -> tuple[str, KnowsRecord]:
@@ -95,10 +95,10 @@ def _inflate_confidence(record: KnowsRecord, i: int) -> tuple[str, KnowsRecord]:
         extraction_fidelity=stmt.confidence.extraction_fidelity,
     )
     statements = tuple(
-        replace(s, confidence=new_conf) if k == i else s
+        replaced(s, confidence=new_conf) if k == i else s
         for k, s in enumerate(record.statements)
     )
-    return shown(stmt.id, str), replace(record, statements=statements)
+    return shown(stmt.id, str), replaced(record, statements=statements)
 
 
 # Per kind: the record's targets, the corruption of one target (its label and

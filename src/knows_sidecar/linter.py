@@ -12,7 +12,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, Optional
+from sys import intern
+from typing import Any, Callable, Mapping, Optional, Union
 
 # Imported for its effect: it gives every record its K001 findings, ``_k001``.
 from . import schema  # noqa: F401
@@ -20,6 +21,7 @@ from .model import (
     CLASS_PREFIX,
     ENTITY_CLASS,
     PREDICATE_MATRIX,
+    PREFIX_CLASS,
     REF_FIELDS,
     Artifact,
     EntityId,
@@ -96,11 +98,14 @@ def _named(value: Any) -> Optional[EntityId]:
     return None
 
 
-def _check_refs(
-    owner: Any, path: str, index: Mapping[str, Any], findings: list[LintFinding]
-) -> None:
-    """Resolve the reference fields of ``owner`` at ``path`` ("" for the record);
-    remote refs are grammar-checked only.  Paths are built only for findings."""
+def _facts(owner: Any) -> tuple[tuple[Union[str, int], Optional[str], Optional[str]], ...]:
+    """What K002 decides of ``owner`` alone, as (where, rendered target, what
+    the target must be): each local reference field, by name, with the class
+    it names, and each source anchor, by index, with None (a representation
+    of the record).  A reference no index can mend has no rendered target but
+    its finding's message.  Remote refs are grammar-checked only, which parsing did.
+    Targets are interned: records name few IDs, and name them alike."""
+    facts = []
     for name, targets in REF_FIELDS[type(owner)]:
         value = getattr(owner, name)
         if type(value) is Ref:
@@ -110,49 +115,93 @@ def _check_refs(
         else:
             entity = value if type(value) is EntityId else None
         if entity is None:
-            message = f"unparseable reference {shown(value)}"
+            facts.append((name, None, f"unparseable reference {shown(value)}"))
+            continue
+        cls = PREFIX_CLASS[entity.prefix]
+        if targets is not None and cls not in targets:
+            facts.append((name, None, f"reference {entity} may only target {sorted(targets)}"))
         else:
-            cls = entity.entity_class
-            target = index.get(str(entity))
-            if targets is not None and cls not in targets:
-                message = f"reference {entity} may only target {sorted(targets)}"
-            elif target is None:
-                message = f"dangling reference {entity}"
-            elif ENTITY_CLASS[type(target)] != cls:
-                message = f"reference {entity} resolves to a {ENTITY_CLASS[type(target)]}"
+            facts.append((name, intern(f"{entity.prefix}:{entity.local}"), cls))
+    if type(owner) in _ANCHORED:
+        for j, anchor in enumerate(owner.source_anchors):
+            ref = anchor.representation_ref
+            if type(ref) is EntityId:
+                facts.append((j, intern(f"{ref.prefix}:{ref.local}"), None))
+            else:
+                facts.append((j, None, f"unparseable reference {shown(ref)}"))
+    return tuple(facts) if facts else ()
+
+
+# The entity classes with source anchors, and those with anything for K002 to
+# check, which keep their facts (``_k002``) in their instance ``__dict__``.
+_ANCHORED = frozenset(cls for cls in ENTITY_CLASS if "source_anchors" in cls.__dataclass_fields__)
+_REFERRING = _ANCHORED | {cls for cls in ENTITY_CLASS if REF_FIELDS[cls]}
+
+
+def _join(
+    facts: tuple, path: str, index: Mapping[str, Any], local_reps: set[str], findings: list[LintFinding]
+) -> None:
+    """Check the ``facts`` of the owner at ``path`` ("" for the record) against its record."""
+    for key, rendered, known in facts:
+        if rendered is None:
+            message = known
+        elif known is None:  # a source anchor, which names a representation of this record
+            if rendered in local_reps:
+                continue
+            message = f"dangling reference {rendered}"
+        else:
+            target = index.get(rendered)
+            if target is None:
+                message = f"dangling reference {rendered}"
+            elif ENTITY_CLASS[type(target)] != known:
+                message = f"reference {rendered} resolves to a {ENTITY_CLASS[type(target)]}"
             else:
                 continue
-        findings.append(_err(LintCode.CROSSREF, f"{path}/{name}" if path else name, message))
+        if type(key) is int:
+            key = f"source_anchors/{key}/representation_ref"
+        findings.append(_err(LintCode.CROSSREF, f"{path}/{key}" if path else key, message))
+
+
+def _artifact_ids(record: KnowsRecord) -> list[str]:
+    """The rendered ID of each of ``record.artifacts``, read from its walk,
+    which visits them first and in order."""
+    pairs, _, ids, _ = record._walk
+    artifacts = record.artifacts
+    rendered: list[str] = []
+    for (entity, _), each in zip(pairs, ids):
+        if len(rendered) == len(artifacts):
+            break
+        if entity is artifacts[len(rendered)]:
+            rendered.append(each)
+    return rendered
 
 
 def check_crossrefs(record: KnowsRecord) -> list[LintFinding]:
+    """Join each entity's kept facts, ``_k002``, with the record; check its subject."""
     findings: list[LintFinding] = []
     pairs, index, ids, _ = record._walk
     local_reps = {rendered for (e, _), rendered in zip(pairs, ids) if type(e) is Representation}
     subject_ref = shown(record.subject_ref, str)
 
-    _check_refs(record, "", index, findings)
-    subject = record.subject_artifact()
-    if subject is not None and subject.role != "subject":
-        message = f"{subject_ref} does not have role=subject"
-        findings.append(_err(LintCode.CROSSREF, "subject_ref", message))
+    _join(_facts(record), "", index, local_reps, findings)
+    for artifact, rendered in zip(record.artifacts, _artifact_ids(record)):
+        if rendered == subject_ref:  # the first such artifact is the subject
+            if artifact.role != "subject":
+                message = f"{subject_ref} does not have role=subject"
+                findings.append(_err(LintCode.CROSSREF, "subject_ref", message))
+            break
     for (entity, path), rendered in zip(pairs, ids):
-        if REF_FIELDS[type(entity)]:
-            _check_refs(entity, path, index, findings)
-        if type(entity) is Artifact and entity.role == "subject" and rendered != subject_ref:
+        kind = type(entity)
+        if kind in _REFERRING:
+            state = entity.__dict__
+            facts = state.get("_k002")
+            if facts is None:  # kept as a ``cached_property`` would keep it, without its lock
+                facts = state["_k002"] = _facts(entity)
+            if facts:
+                _join(facts, path, index, local_reps, findings)
+        elif kind is Artifact and entity.role == "subject" and rendered != subject_ref:
             message = f"extra subject artifact {rendered}; subject_ref names {subject_ref}"
             findings.append(_err(LintCode.CROSSREF, path, message))
-        # Source anchors name representations of this record only.
-        for j, anchor in enumerate(getattr(entity, "source_anchors", ())):
-            ref = anchor.representation_ref
-            if not isinstance(ref, EntityId):
-                message = f"unparseable reference {shown(ref)}"
-            elif str(ref) not in local_reps:
-                message = f"dangling reference {ref}"
-            else:
-                continue
-            anchor_path = f"{path}/source_anchors/{j}/representation_ref"
-            findings.append(_err(LintCode.CROSSREF, anchor_path, message))
     return findings
 
 
@@ -218,8 +267,7 @@ def check_predicates(record: KnowsRecord) -> list[LintFinding]:
 def check_discoverability(record: KnowsRecord) -> list[LintFinding]:
     findings: list[LintFinding] = []
     subject = shown(record.subject_ref, str)
-    for i, art in enumerate(record.artifacts):
-        rendered = shown(art.id, str)
+    for i, (art, rendered) in enumerate(zip(record.artifacts, _artifact_ids(record))):
         has_identifier = art.identifiers is not None and art.identifiers.any_present()
         has_representation = any(
             rep.locator is not None and rep.locator.value for rep in art.representations

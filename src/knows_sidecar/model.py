@@ -31,9 +31,11 @@ out-of-vocabulary values for the linter to report.
 
 Kept state: what a value derives once and keeps lives in its instance
 ``__dict__``, beside the fields, written by a ``functools.cached_property``
-(or, for a loaded record's K001 findings, by the loader).  It belongs to the
-object: equality and repr ignore it, ``dataclasses.replace`` starts without
-it, and ``copy.deepcopy`` copies it.  A record keeps its entity walk
+(or, for a loaded record's K001 findings, by the loader, and for an entity's
+K002 facts, by the first lint that reads them).  It belongs to the
+object: equality and repr ignore it, a copy made by :func:`replaced` (which
+the package uses) or ``dataclasses.replace`` starts without it, and
+``copy.deepcopy`` copies it.  A record keeps its entity walk
 (``_walk``), made by one flat loop over ``ENTITY_LISTS`` that renders each
 parsed ID inline: the entities with their paths, the index by rendered ID,
 each entity's rendered ID (the index's own strings) and the repeated IDs,
@@ -43,7 +45,13 @@ list item, keeps its K001 findings (``_k001``), relative to itself: a loaded
 record's are those of the tree it was parsed from, which it does not keep;
 any other value's are those of walking its fields, which finds what checking
 its emitted tree would.  :mod:`knows_sidecar.schema` sets that property on the classes when it
-compiles ``RECORD_SCHEMA``, since this module cannot import the schema.  The
+compiles ``RECORD_SCHEMA``, since this module cannot import the schema.  Each
+entity that names others (a statement, evidence, relation or action) keeps
+what K002 decides of it alone (``_k002``, see :mod:`knows_sidecar.linter`):
+each local reference field's rendered target and class, each source
+anchor's rendered ``representation_ref``, or the message of a finding no
+index can mend; lint joins those with each record's index, so an entity
+shared by records that index it differently gets each one's findings.  The
 leaf values written as strings keep nothing and are atomic: copying one
 returns it (see ``_Atomic``).  So a dataclass of the package has an
 instance ``__dict__`` exactly when it keeps state: ``KnowsRecord``, the
@@ -690,6 +698,29 @@ REF_FIELDS = {
     )
     for cls in _OWNERS
 }
+
+
+def replaced(value: Any, /, **changes: Any) -> Any:
+    """A copy of ``value``, a model value that keeps state, with ``changes``
+    made, as ``dataclasses.replace`` makes one but without calling ``__init__``.
+
+    The copy's ``__dict__`` is filled with the fields only, so no kept state
+    carries over.  A name that is not a field raises ``TypeError``, as it does
+    for ``dataclasses.replace``; so does a slotted value, which has no
+    ``__dict__`` (build it directly instead).
+    """
+    cls = type(value)
+    names = cls.__dataclass_fields__
+    if not names.keys() >= changes.keys():
+        unknown = ", ".join(sorted(changes.keys() - names.keys()))
+        raise TypeError(f"{cls.__name__} has no field named {unknown}")
+    state = vars(value)
+    made = object.__new__(cls)
+    fresh = vars(made)
+    for name in names:
+        fresh[name] = state[name]
+    fresh.update(changes)
+    return made
 
 
 def as_ref(value: Any) -> Optional[Ref]:

@@ -11,11 +11,10 @@ subword tokenizers as one token per four UTF-8 bytes, rounded up.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .model import KnowsRecord
+from .model import KnowsRecord, replaced
 from .serialization import emit_record, emit_records
 
 
@@ -39,11 +38,11 @@ def project(record: KnowsRecord, condition: Union[ProjectionCondition, str]) -> 
     if condition is ProjectionCondition.FULL:
         return record
     if condition is ProjectionCondition.MINUS_RELATIONS:
-        return replace(record, relations=())
+        return replaced(record, relations=())
     if condition is ProjectionCondition.MINUS_EVIDENCE:
-        return replace(record, relations=(), evidence=())
-    statements = tuple(replace(s, source_anchors=()) for s in record.statements)
-    return replace(record, relations=(), evidence=(), actions=(), statements=statements)
+        return replaced(record, relations=(), evidence=())
+    statements = tuple(replaced(s, source_anchors=()) for s in record.statements)
+    return replaced(record, relations=(), evidence=(), actions=(), statements=statements)
 
 
 TokenizerPort = Callable[[bytes], int]

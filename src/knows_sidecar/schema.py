@@ -149,8 +149,10 @@ _TESTS = {
 class _Node:
     """One compiled schema node.
 
-    ``min_length`` is the ``minLength`` keyword (None when absent) and
-    ``tests`` pairs each other keyword test with its message.  An array node
+    ``typed`` is false for a node with no ``type``, such as an enumeration
+    alone, which tests no class.  ``min_length`` is the ``minLength`` keyword
+    (None when absent) and ``tests`` pairs each other keyword test with its
+    message; a node without them skips both.  An array node
     has its ``items`` node.  An object node has ``steps``, one per property,
     as (key, node, leaf, attribute, converter, walked, kept): ``leaf`` is the
     property's operation, true when its node has neither steps nor items, so
@@ -163,13 +165,13 @@ class _Node:
     """
 
     __slots__ = (
-        "mismatch", "classes", "numeric", "members", "min_length", "tests", "items",
+        "mismatch", "classes", "typed", "numeric", "members", "min_length", "tests", "items",
         "cls", "steps", "keys", "required", "closed", "one_of",
     )
 
     def check(self, value: Any, path: Any, problems: list) -> None:
         """Check ``value``, a tree, at this node."""
-        if not isinstance(value, self.classes) or (self.numeric and type(value) is bool):
+        if self.typed and (not isinstance(value, self.classes) or (self.numeric and type(value) is bool)):
             problems.append((path, self.mismatch))
             return
         if self.members is not None:
@@ -182,9 +184,10 @@ class _Node:
                 return
         if self.min_length is not None and len(value) < self.min_length:
             problems.append((path, "string must be non-empty"))
-        for test, message in self.tests:
-            if not test(value):
-                problems.append((path, message))
+        if self.tests:
+            for test, message in self.tests:
+                if not test(value):
+                    problems.append((path, message))
         if self.steps is not None:
             self.walk(value, path, problems)
         elif self.items is not None:
@@ -255,7 +258,7 @@ class _Node:
                         continue
             # The value the tree holds at ``key``: a leaf checked as ``node.check`` checks one.
             if leaf:
-                if not isinstance(item, node.classes) or (node.numeric and type(item) is bool):
+                if node.typed and (not isinstance(item, node.classes) or (node.numeric and type(item) is bool)):
                     problems.append(((key, path), node.mismatch))
                     continue
                 if node.members is not None:
@@ -268,9 +271,10 @@ class _Node:
                         continue
                 if node.min_length is not None and len(item) < node.min_length:
                     problems.append(((key, path), "string must be non-empty"))
-                for test, message in node.tests:
-                    if not test(item):
-                        problems.append(((key, path), message))
+                if node.tests:
+                    for test, message in node.tests:
+                        if not test(item):
+                            problems.append(((key, path), message))
             else:
                 node.check(item, (key, path), problems)
         if not fields:
@@ -314,6 +318,7 @@ def _compile(schema: Mapping[str, Any], cls: Any = None) -> _Node:
     expected = schema.get("type")
     node.mismatch = f"expected {expected}"
     node.classes = _CLASSES.get(expected, object)
+    node.typed = node.classes is not object
     node.numeric = expected in ("integer", "number")  # a bool is never a number
     node.members = frozenset(schema["enum"]) if "enum" in schema else None
     node.min_length = schema.get("minLength")
